@@ -13,7 +13,6 @@ Writes two_slit_profiles.csv (and a PNG when matplotlib is available).
 import numpy as np
 
 from spinfringe import SlitGeometry, classical_intensity, intensity_profile, slit_phases
-from spinfringe.geometry import ScreenPoint
 
 SEPARATION = 2e-6
 WAVELENGTH = 500e-9
@@ -23,9 +22,7 @@ thetas = np.linspace(-0.3, 0.3, 1201)
 
 half = intensity_profile(layout, thetas, convention="half")
 paper = intensity_profile(layout, thetas, convention="paper")
-oracle = np.array(
-    [classical_intensity(slit_phases(layout, ScreenPoint(t))) for t in thetas]
-)
+oracle = classical_intensity(slit_phases(layout, thetas))
 
 print(f"fringe visibility, half convention : {half.visibility():.3f}")
 print(f"fringe visibility, full convention : {paper.visibility():.3f}")

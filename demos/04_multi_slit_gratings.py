@@ -12,6 +12,7 @@ import numpy as np
 from spinfringe import (
     SlitGeometry,
     classical_intensity,
+    intensity_profile,
     multi_slit_intensity,
     pairwise_identity_check,
     slit_phases,
@@ -30,13 +31,9 @@ print("\nGrating profiles (half convention), peak sharpening with N:")
 thetas = np.linspace(-0.3, 0.3, 1201)
 for n in (2, 3, 4, 6):
     layout = SlitGeometry.evenly_spaced(n, 2e-6, 500e-9, 1.0)
-    values = np.array(
-        [multi_slit_intensity(layout, ScreenPoint(t)) for t in thetas]
-    )
+    values = intensity_profile(layout, thetas).intensities
     above_half = np.mean(values > 0.5)
-    oracle = np.array(
-        [classical_intensity(slit_phases(layout, ScreenPoint(t))) for t in thetas]
-    )
+    oracle = classical_intensity(slit_phases(layout, thetas))
     print(
         f"  N = {n}: fraction of screen above I0/2 = {above_half:.3f}, "
         f"max |model - oracle| = {np.max(np.abs(values - oracle)):.2e}"

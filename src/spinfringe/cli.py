@@ -43,24 +43,8 @@ from .geometry import ScreenPoint, incidence_angles, slit_phases
 from .oracle import classical_intensity, independent_intensity
 
 
-def _fmt(value: float) -> str:
-    """Fixed 17-significant-digit decimal form; deterministic and lossless."""
-    return f"{value:.16e}"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+#: Fixed 17-significant-digit decimal form; deterministic and lossless.
+_FMT = "%.16e"
 
 
 def compute_profile(config: SimulationConfig) -> FringeProfile:
@@ -85,102 +69,80 @@ def compute_profile(config: SimulationConfig) -> FringeProfile:
     return FringeProfile(grid, np.clip(config.i0 * values, 0.0, config.i0), config.i0)
 
 
-def render_profile(profile: FringeProfile, output_format: str) -> str:
+def render_profile(columns, column_arrays, output_format: str, **scalars) -> str:
+    """Render equal-length 1-D columns as the CSV or JSON text of an output file.
+
+    CSV is a header line of ``columns`` and one line per row, every number in
+    ``_FMT``.  JSON with ``scalars`` holds them beside a ``samples`` list of
+    per-row objects keyed by column name; JSON without scalars is the bare
+    table ``{"columns": [...], "rows": [[...], ...]}``.
+    """
+    rows = zip(*(column.tolist() for column in column_arrays))
     if output_format == "csv":
-        lines = ["theta,intensity"]
-        lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in profile.samples]
-        return "\n".join(lines) + "\n"
-    document = {
-        "i0": profile.i0,
-        "samples": [{"theta": t, "intensity": v} for t, v in profile.samples],
-    }
+        row_format = ",".join([_FMT] * len(columns))
+        return "\n".join([",".join(columns), *(row_format % row for row in rows)]) + "\n"
+    if scalars:
+        document = {**scalars, "samples": [dict(zip(columns, row)) for row in rows]}
+    else:
+        document = {"columns": columns, "rows": [list(row) for row in rows]}
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+def _write_table(config: SimulationConfig, columns, column_arrays, **scalars) -> Path:
+    """Render a table in the config's output format; write it atomically (temp file + rename)."""
+    text = render_profile(columns, column_arrays, config.output_format, **scalars)
+    path = resolve_output_path(config)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def run_simulate(config: SimulationConfig) -> Path:
     """Compute and atomically write the profile; returns the output path."""
     config.validate()
     profile = compute_profile(config)
-    path = resolve_output_path(config)
-    _atomic_write(path, render_profile(profile, config.output_format))
-    return path
-
-
-def _oracle_column(config: SimulationConfig) -> np.ndarray:
-    """Classical-wave reference intensities on the config's theta grid."""
-    layout = config.geometry()
-    values = np.empty(config.samples)
-    for k, theta in enumerate(config.theta_grid()):
-        phases = slit_phases(layout, ScreenPoint(theta))
-        if config.detection:
-            values[k] = independent_intensity(phases)
-        else:
-            values[k] = classical_intensity(phases)
-    return config.i0 * values
+    table = [profile.thetas, profile.intensities]
+    return _write_table(config, ["theta", "intensity"], table, i0=profile.i0)
 
 
 def run_compare(config: SimulationConfig) -> tuple[Path, float]:
     """Write the per-angle model/oracle table; returns (path, max abs difference)."""
     config.validate()
     profile = compute_profile(config)
-    reference = _oracle_column(config)
+    oracle = independent_intensity if config.detection else classical_intensity
+    reference = config.i0 * oracle(slit_phases(config.geometry(), profile.thetas))
     diffs = np.abs(profile.intensities - reference)
     max_abs_diff = float(diffs.max())
-    if config.output_format == "csv":
-        lines = ["theta,intensity,oracle,abs_diff"]
-        for theta, model, ref, diff in zip(profile.thetas, profile.intensities, reference, diffs):
-            lines.append(f"{_fmt(theta)},{_fmt(model)},{_fmt(ref)},{_fmt(diff)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        document = {
-            "max_abs_diff": max_abs_diff,
-            "samples": [
-                {"theta": t, "intensity": m, "oracle": r, "abs_diff": d}
-                for t, m, r, d in zip(
-                    profile.thetas.tolist(),
-                    profile.intensities.tolist(),
-                    reference.tolist(),
-                    diffs.tolist(),
-                )
-            ],
-        }
-        text = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    path = resolve_output_path(config)
-    _atomic_write(path, text)
-    return path, max_abs_diff
+    header = ["theta", "intensity", "oracle", "abs_diff"]
+    table = [profile.thetas, profile.intensities, reference, diffs]
+    return _write_table(config, header, table, max_abs_diff=max_abs_diff), max_abs_diff
 
 
 def run_geometry_dump(config: SimulationConfig) -> Path:
     """Write per-angle incidence angles alpha_i and pair phases phi_i_j."""
     config.validate()
     layout = config.geometry()
+    grid = config.theta_grid()
     n = layout.n_slits
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    first, second = np.triu_indices(n, 1)
+    phases = slit_phases(layout, grid)
     header = (
         ["theta"]
         + [f"alpha_{i}" for i in range(1, n + 1)]
-        + [f"phi_{i}_{j}" for i, j in pairs]
+        + [f"phi_{i + 1}_{j + 1}" for i, j in zip(first, second)]
     )
-    rows = []
-    for theta in config.theta_grid():
-        point = ScreenPoint(theta)
-        alphas = incidence_angles(layout, point)
-        phases = slit_phases(layout, point)
-        rows.append(
-            [theta]
-            + [float(a) for a in alphas]
-            + [float(phases[j - 1] - phases[i - 1]) for i, j in pairs]
-        )
-    if config.output_format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(value) for value in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        document = {"columns": header, "rows": rows}
-        text = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    path = resolve_output_path(config)
-    _atomic_write(path, text)
-    return path
+    table = [grid, *incidence_angles(layout, grid).T, *(phases[:, second] - phases[:, first]).T]
+    return _write_table(config, header, table)
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -298,7 +260,7 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             path, max_abs_diff = run_compare(config)
             print(f"wrote {path} ({config.samples} samples)")
-            print(f"max_abs_diff = {_fmt(max_abs_diff)}")
+            print(f"max_abs_diff = {_FMT % max_abs_diff}")
         elif args.command == "geometry":
             path = run_geometry_dump(config)
             print(f"wrote {path} ({config.samples} samples)")

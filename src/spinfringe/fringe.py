@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScreenPoint, SlitGeometry, pair_phase, slit_phases
-from .qstate import Ensemble, Spinor, TwoSpinState, basis_u, basis_v
+from .geometry import ScreenPoint, SlitGeometry, _checked_thetas, pair_phase, slit_phases
+from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import rotation_matrix
 
 PHASE_CONVENTIONS = ("paper", "half")
@@ -35,7 +35,6 @@ TRANSMITTED_CHOICES = ("u", "v")
 #: Max-abs deviation from u accepted by the which-way collapse operator.
 DETECT_STATE_TOL = 1e-10
 
-_SQRT_HALF = math.sqrt(0.5)
 _WEIGHT_CUTOFF = 1e-14
 
 
@@ -56,6 +55,16 @@ def _rotation_scale(convention: str) -> float:
 def _check_choice(choice: str) -> None:
     if choice not in TRANSMITTED_CHOICES:
         raise ValueError(f"transmitted choice must be one of {TRANSMITTED_CHOICES}, got {choice!r}")
+
+
+def _theta_grid(thetas) -> np.ndarray:
+    """``thetas`` as a non-empty, strictly increasing 1-D grid of screen angles."""
+    grid = _checked_thetas(thetas)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("theta grid must be a non-empty 1-D array")
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("theta grid must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,8 @@ class PairState:
 class FringeProfile:
     """Sampled screen-angle -> intensity curve with its intensity scale i0.
 
-    Angles are strictly increasing and every intensity lies in [0, i0].
+    Angles are strictly increasing screen angles (finite, |theta| < pi/2)
+    and every intensity lies in [0, i0], so none is NaN.
     """
 
     thetas: np.ndarray
@@ -102,19 +112,16 @@ class FringeProfile:
     i0: float = 1.0
 
     def __post_init__(self) -> None:
-        thetas = np.array(self.thetas, dtype=float)
+        thetas = _theta_grid(np.array(self.thetas, dtype=float))
         intensities = np.array(self.intensities, dtype=float)
-        if thetas.ndim != 1 or thetas.size == 0:
-            raise ValueError("profile needs a non-empty 1-D theta grid")
         if intensities.shape != thetas.shape:
             raise ValueError(
                 f"intensity shape {intensities.shape} does not match theta shape {thetas.shape}"
             )
-        if thetas.size > 1 and not np.all(np.diff(thetas) > 0):
-            raise ValueError("profile thetas must be strictly increasing")
         if not (math.isfinite(self.i0) and self.i0 > 0):
             raise ValueError(f"i0 must be positive, got {self.i0}")
-        if np.any(intensities < 0) or np.any(intensities > self.i0):
+        # written so that a NaN intensity fails the comparison
+        if not np.all((intensities >= 0) & (intensities <= self.i0)):
             raise ValueError("intensities must lie in [0, i0]")
         thetas.setflags(write=False)
         intensities.setflags(write=False)
@@ -186,15 +193,10 @@ def multi_slit_intensity(
     For N = 2 this equals cos^2(phi_12), the two-slit transmission
     probability; under the half convention the doubled angles are the raw
     optical phases, so I equals the classical grating intensity
-    |sum_k exp(i*phase_k)|^2 / N^2.
+    |sum_k exp(i*phase_k)|^2 / N^2.  This is the one-point form of
+    ``intensity_profile``.
     """
-    doubled = 2.0 * _rotation_scale(convention) * slit_phases(geometry, point)
-    n = geometry.n_slits
-    acc = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc += math.cos(doubled[j] - doubled[i])
-    return (n + 2.0 * acc) / n**2
+    return float(intensity_profile(geometry, [point.theta], convention).intensities[0])
 
 
 def intensity_profile(
@@ -207,22 +209,16 @@ def intensity_profile(
 ) -> FringeProfile:
     """Fringe profile over an increasing grid of screen angles.
 
-    Without detection, two slits give i0 times the transmission probability
-    of the pair state at each angle, and N > 2 slits give i0 times the
-    pairwise-rule intensity (the "v" choice is its complement, preserving
+    Without detection, the profile is i0 times the pairwise-rule intensity,
+    which for two slits is the transmission probability cos^2(phi_12) of the
+    pair state (the "v" choice is its complement, preserving
     transmitted + absorbed = i0 at every angle).  Any non-empty ``detection``
     set breaks the pair correlation: the particles from the N slits become
     independent and the profile is flat at i0/N.
 
     Values are clipped into [0, i0] to absorb last-bit rounding.
     """
-    grid = np.asarray(thetas, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("theta grid must be a non-empty 1-D array")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("theta grid must be strictly increasing")
-    if not np.all(np.isfinite(grid)) or np.any(np.abs(grid) >= math.pi / 2):
-        raise ValueError("theta grid must lie within (-pi/2, pi/2)")
+    grid = _theta_grid(thetas)
     _check_choice(choice)
     scale = _rotation_scale(convention)
     if not (math.isfinite(i0) and i0 > 0):
@@ -235,20 +231,14 @@ def intensity_profile(
     if detection:
         values = np.full(grid.shape, 1.0 / n)
     else:
-        pos = np.asarray(geometry.slit_positions)
-        optical = (2.0 * np.pi * np.sin(grid) / geometry.wavelength)[:, None] * pos[None, :]
-        if n == 2:
-            phi = scale * (optical[:, 1] - optical[:, 0])
-            values = np.cos(phi) ** 2 if choice == "u" else np.sin(phi) ** 2
-        else:
-            doubled = 2.0 * scale * optical
-            acc = np.zeros(grid.shape)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    acc += np.cos(doubled[:, j] - doubled[:, i])
-            values = (n + 2.0 * acc) / n**2
-            if choice == "v":
-                values = 1.0 - values
+        doubled = 2.0 * scale * slit_phases(geometry, grid)
+        acc = np.zeros(grid.shape)
+        for i in range(n):
+            for j in range(i + 1, n):
+                acc += np.cos(doubled[:, j] - doubled[:, i])
+        values = (n + 2.0 * acc) / n**2
+        if choice == "v":
+            values = 1.0 - values
     return FringeProfile(grid, np.clip(i0 * values, 0.0, i0), i0)
 
 

@@ -1,8 +1,11 @@
 """Slit layout, screen parameterization, incidence angles, and pair phases.
 
 Screen points are parameterized by the angle ``theta`` from the central
-normal.  Slit indices throughout this module are 1-based, matching the
-aperture labels a_1 .. a_N used in output columns.
+normal.  ``incidence_angles`` and ``slit_phases`` take either a
+``ScreenPoint``, giving one value per slit as an (N,) array, or a 1-D grid
+of S angles, giving an (S, N) table whose row k is the value at
+``ScreenPoint(thetas[k])``.  Slit indices throughout this module are
+1-based, matching the aperture labels a_1 .. a_N used in output columns.
 
 Two distinct angle-like quantities are computed per aperture pair:
 
@@ -75,36 +78,52 @@ class ScreenPoint:
     theta: float
 
     def __post_init__(self) -> None:
-        t = float(self.theta)
-        if not (math.isfinite(t) and abs(t) < math.pi / 2):
-            raise ValueError(f"theta must satisfy |theta| < pi/2, got {self.theta}")
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", float(_checked_thetas(self.theta)))
 
 
-def _check_slit_index(geometry: SlitGeometry, index: int, name: str) -> None:
-    if not 1 <= index <= geometry.n_slits:
-        raise IndexError(f"slit index {name}={index} out of range 1..{geometry.n_slits}")
+def _checked_thetas(thetas) -> np.ndarray:
+    """``thetas`` as a float array; raises unless every entry is finite with |theta| < pi/2."""
+    grid = np.asarray(thetas, dtype=float)
+    inside = np.abs(grid) < math.pi / 2  # False for nan and inf as well
+    if not inside.all():
+        raise ValueError(f"theta must be finite with |theta| < pi/2, got {grid[~inside].flat[0]}")
+    return grid
 
 
-def incidence_angles(geometry: SlitGeometry, point: ScreenPoint) -> np.ndarray:
+def _screen_angles(point) -> float | np.ndarray:
+    """theta of a ScreenPoint, or an angle grid with a trailing axis to broadcast over slits."""
+    if isinstance(point, ScreenPoint):
+        return point.theta
+    return _checked_thetas(point)[..., None]
+
+
+def _check_pair(geometry: SlitGeometry, i: int, j: int, quantity: str) -> None:
+    for name, index in (("i", i), ("j", j)):
+        if not 1 <= index <= geometry.n_slits:
+            raise IndexError(f"slit index {name}={index} out of range 1..{geometry.n_slits}")
+    if i == j:
+        raise IndexError(f"{quantity} needs two distinct slits, got i=j={i}")
+
+
+def incidence_angles(geometry: SlitGeometry, point) -> np.ndarray:
     """Angle of the straight ray from each slit to the screen point.
 
     With the screen point at transverse position x = L*tan(theta), slit i's
     ray makes the angle alpha_i = arctan((x - a_i)/L) with the normal.  Exact
     geometry; no small-angle approximation.
     """
-    x = geometry.screen_distance * math.tan(point.theta)
+    x = geometry.screen_distance * np.tan(_screen_angles(point))
     pos = np.asarray(geometry.slit_positions)
     return np.arctan((x - pos) / geometry.screen_distance)
 
 
-def slit_phases(geometry: SlitGeometry, point: ScreenPoint) -> np.ndarray:
+def slit_phases(geometry: SlitGeometry, point) -> np.ndarray:
     """Optical phase 2*pi*a_k*sin(theta)/lambda accumulated by each slit's ray.
 
     Only phase differences are physical; ``pair_phase`` is taken from this
     table so that phi_ij = -phi_ji holds exactly.
     """
-    k = 2.0 * math.pi * math.sin(point.theta) / geometry.wavelength
+    k = 2.0 * math.pi * np.sin(_screen_angles(point)) / geometry.wavelength
     return k * np.asarray(geometry.slit_positions)
 
 
@@ -115,10 +134,7 @@ def pair_phase(geometry: SlitGeometry, point: ScreenPoint, i: int, j: int) -> fl
     slit (phi_ik = phi_ij + phi_jk) up to last-bit rounding.  Strictly
     monotone in sin(theta) for any fixed pair.
     """
-    _check_slit_index(geometry, i, "i")
-    _check_slit_index(geometry, j, "j")
-    if i == j:
-        raise IndexError(f"pair phase needs two distinct slits, got i=j={i}")
+    _check_pair(geometry, i, j, "pair phase")
     phases = slit_phases(geometry, point)
     return float(phases[j - 1] - phases[i - 1])
 
@@ -129,9 +145,6 @@ def subtended_angle(geometry: SlitGeometry, point: ScreenPoint, i: int, j: int) 
     Diagnostic companion to ``pair_phase``: it tends to 0 as the screen
     recedes while the optical phase stays fixed.
     """
-    _check_slit_index(geometry, i, "i")
-    _check_slit_index(geometry, j, "j")
-    if i == j:
-        raise IndexError(f"subtended angle needs two distinct slits, got i=j={i}")
+    _check_pair(geometry, i, j, "subtended angle")
     angles = incidence_angles(geometry, point)
     return float(angles[i - 1] - angles[j - 1])

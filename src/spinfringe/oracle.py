@@ -1,9 +1,11 @@
 """Classical-wave reference intensities, written against raw per-slit phases.
 
-A phase set is a 1-D array of per-slit phases (radians) at one screen point.
-Working on raw phases rather than geometry keeps this module independent of
-the model code it validates.  Intensities are normalized by N^2 so that the
-fully constructive value is 1 for every slit count.
+A phase set is a 1-D array of per-slit phases (radians) at one screen point;
+a phase table stacks S sets as an (S, N) array, and the intensities reduce
+over its last axis.  Working on raw phases rather than geometry keeps this
+module independent of the model code it validates.  Intensities are
+normalized by N^2 so that the fully constructive value is 1 for every slit
+count.
 """
 
 from __future__ import annotations
@@ -12,23 +14,32 @@ import numpy as np
 
 
 def _phase_array(phases) -> np.ndarray:
-    arr = np.asarray(phases, dtype=float).reshape(-1)
-    if arr.size == 0:
+    arr = np.atleast_1d(np.asarray(phases, dtype=float))
+    if arr.shape[-1] == 0:
         raise ValueError("phase set must be non-empty")
     return arr
 
 
-def classical_intensity(phases) -> float:
-    """Coherent intensity |sum_k exp(i*phi_k)|^2 / N^2 of unit phasors."""
+def _per_set(values: np.ndarray):
+    """A float for one phase set, an (S,) array for a table."""
+    return float(values) if values.ndim == 0 else values
+
+
+def classical_intensity(phases):
+    """Coherent intensity |sum_k exp(i*phi_k)|^2 / N^2 of unit phasors.
+
+    The squared modulus is summed as (sum cos)^2 + (sum sin)^2, which needs
+    no complex (S, N) temporary for a table.
+    """
     arr = _phase_array(phases)
-    total = np.exp(1j * arr).sum()
-    return float(abs(total) ** 2) / arr.size**2
+    total = np.cos(arr).sum(axis=-1) ** 2 + np.sin(arr).sum(axis=-1) ** 2
+    return _per_set(total / arr.shape[-1] ** 2)
 
 
-def independent_intensity(phases) -> float:
+def independent_intensity(phases):
     """Incoherent intensity sum_k |exp(i*phi_k)|^2 / N^2 = 1/N, phase-independent."""
     arr = _phase_array(phases)
-    return 1.0 / arr.size
+    return _per_set(np.full(arr.shape[:-1], 1.0 / arr.shape[-1]))
 
 
 def pairwise_identity_check(phases) -> tuple[float, float, float]:

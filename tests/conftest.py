@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spinfringe
 from spinfringe import SlitGeometry
 
 
@@ -18,3 +22,15 @@ def three_slit():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def subprocess_env():
+    """Environment for a child interpreter that imports this checkout's ``spinfringe``.
+
+    ``PYTHONPATH`` is made absolute, so the child finds the package from any
+    working directory.
+    """
+    src = str(Path(spinfringe.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}

@@ -191,7 +191,7 @@ def test_c09_transmitted_absorbed_symmetry():
     report("transmitted + absorbed = 1 at every angle", worst, 1e-12)
 
 
-def test_c10_cli_determinism_and_verify_gate(tmp_path, monkeypatch, capsys):
+def test_c10_cli_determinism_and_verify_gate(tmp_path, monkeypatch, capsys, subprocess_env):
     config = merge_overrides(
         default_config(), {"samples": 401, "output_path": str(tmp_path / "once.csv")}
     )
@@ -200,7 +200,10 @@ def test_c10_cli_determinism_and_verify_gate(tmp_path, monkeypatch, capsys):
     assert first == second
 
     proc = subprocess.run(
-        [sys.executable, "-m", "spinfringe", "verify"], capture_output=True, text=True
+        [sys.executable, "-m", "spinfringe", "verify"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all" in proc.stdout and "passed" in proc.stdout

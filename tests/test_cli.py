@@ -334,13 +334,14 @@ class TestMainEntry:
         values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert max(values) - min(values) <= 1e-12
 
-    def test_module_entry_point(self, tmp_path):
+    def test_module_entry_point(self, tmp_path, subprocess_env):
         out = tmp_path / "module.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "spinfringe", "simulate", "--samples", "3", "-o", str(out)],
             capture_output=True,
             text=True,
             cwd=tmp_path,
+            env=subprocess_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

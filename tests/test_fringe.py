@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinfringe import (
+    PHASE_CONVENTIONS,
+    TRANSMITTED_CHOICES,
     Ensemble,
     FringeProfile,
     GeometryError,
@@ -25,6 +29,7 @@ from spinfringe import (
     measure_factor,
     multi_slit_intensity,
     pair_phase,
+    slit_phases,
     transmission_probability,
     two_slit_state_at,
 )
@@ -192,6 +197,30 @@ class TestIntensityProfile:
             center = np.argmin(np.abs(grid))
             assert profile.intensities[center] == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        first=st.floats(min_value=-1e-3, max_value=1e-3),
+        separation=st.floats(min_value=1e-7, max_value=1e-4),
+        wavelength=st.floats(min_value=2e-7, max_value=8e-7),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+        choice=st.sampled_from(TRANSMITTED_CHOICES),
+    )
+    def test_two_slit_pairwise_rule_is_cos_squared(
+        self, first, separation, wavelength, convention, choice
+    ):
+        # the pairwise rule at N = 2 against i0*cos^2(s*delta) / i0*sin^2(s*delta),
+        # delta the optical pair phase; the rule takes cos(2s*p_2 - 2s*p_1) from
+        # absolute per-slit phases, so the bound scales with their size
+        layout = SlitGeometry((first, first + separation), wavelength, 1.0)
+        grid = np.linspace(-1.2, 1.2, 241)
+        i0 = 2.5
+        profile = intensity_profile(layout, grid, convention, choice, i0=i0)
+        phases = slit_phases(layout, grid)
+        angle = (0.5 if convention == "half" else 1.0) * (phases[:, 1] - phases[:, 0])
+        expected = i0 * (np.cos(angle) ** 2 if choice == "u" else np.sin(angle) ** 2)
+        tolerance = i0 * (1e-12 + 8 * np.finfo(float).eps * float(np.max(np.abs(phases))))
+        assert np.max(np.abs(profile.intensities - expected)) <= tolerance
+
     def test_two_slit_path_equals_scalar_ops(self, two_slit, rng):
         grid = np.sort(rng.uniform(-1.2, 1.2, size=64))
         for convention in ("half", "paper"):
@@ -225,11 +254,14 @@ class TestMultiSlitIntensity:
             assert abs(model - classical_intensity(slit_phases(three_slit, point))) <= 1e-9
 
     def test_profile_uses_pairwise_rule(self, rng):
-        g = SlitGeometry.evenly_spaced(4, 2e-6, 500e-9, 1.0)
-        grid = np.sort(rng.uniform(-0.3, 0.3, size=32))
-        profile = intensity_profile(g, grid)
-        for theta, value in profile.samples:
-            assert abs(value - multi_slit_intensity(g, ScreenPoint(theta))) <= 1e-12
+        # the scalar form is the one-point profile, so the two agree exactly
+        grid = np.sort(rng.uniform(-1.2, 1.2, size=32))
+        for n in (2, 3, 4):
+            g = SlitGeometry.evenly_spaced(n, 2e-6, 500e-9, 1.0)
+            for convention in PHASE_CONVENTIONS:
+                profile = intensity_profile(g, grid, convention)
+                for theta, value in profile.samples:
+                    assert multi_slit_intensity(g, ScreenPoint(theta), convention) == value
 
 
 class TestDetectAtSlit:
@@ -377,6 +409,12 @@ class TestFringeProfile:
             FringeProfile(np.array([0.0, 0.1]), np.array([0.5, 1.5]), i0=1.0)
         with pytest.raises(ValueError, match="i0"):
             FringeProfile(np.array([0.0]), np.array([0.0]), i0=0.0)
+        with pytest.raises(ValueError, match="\\[0, i0\\]"):
+            FringeProfile(np.array([0.0, 0.1]), np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            FringeProfile(np.array([np.nan]), np.array([0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            FringeProfile(np.array([0.0, np.inf]), np.array([0.5, 0.5]))
 
     def test_arrays_read_only(self):
         profile = FringeProfile(np.array([0.0, 0.1]), np.array([1.0, 0.5]))

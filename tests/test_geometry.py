@@ -143,6 +143,28 @@ class TestSlitPhases:
         assert np.allclose(slit_phases(three_slit, p), expected, rtol=1e-15)
 
 
+class TestGridForms:
+    @pytest.mark.parametrize("function", [slit_phases, incidence_angles])
+    def test_rows_match_screen_points(self, function, rng):
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            positions = np.sort(rng.uniform(-5e-5, 5e-5, size=n))
+            g = SlitGeometry(tuple(positions), rng.uniform(2e-7, 8e-7), rng.uniform(0.5, 2.0))
+            thetas = rng.uniform(-1.5, 1.5, size=50)
+            table = function(g, thetas)
+            assert table.shape == (thetas.size, n)
+            for theta, row in zip(thetas, table):
+                expected = function(g, ScreenPoint(theta))
+                assert np.all(np.abs(row - expected) <= 4 * eps * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("bad", [math.pi / 2, -2.0, float("nan"), float("inf")])
+    def test_grid_entries_validated(self, two_slit, bad):
+        for function in (slit_phases, incidence_angles):
+            with pytest.raises(ValueError, match="pi/2"):
+                function(two_slit, np.array([0.0, bad, 0.1]))
+
+
 class TestSubtendedAngle:
     def test_symmetric_pair_at_center(self, two_slit):
         expected = 2 * math.atan(1e-6 / 1.0)

@@ -46,6 +46,26 @@ class TestClassicalIntensity:
             classical_intensity([])
 
 
+class TestPhaseTables:
+    def test_rows_match_single_sets(self, rng):
+        for n in (1, 2, 5, 64):
+            table = rng.uniform(-50, 50, size=(40, n))
+            coherent = classical_intensity(table)
+            incoherent = independent_intensity(table)
+            assert coherent.shape == incoherent.shape == (40,)
+            for k, row in enumerate(table):
+                assert coherent[k] == classical_intensity(row)
+                assert incoherent[k] == independent_intensity(row) == 1.0 / n
+
+    def test_single_set_gives_float(self):
+        assert type(classical_intensity([0.0, 1.0])) is float
+        assert type(independent_intensity([0.0, 1.0])) is float
+
+    def test_empty_sets_rejected(self):
+        with pytest.raises(ValueError):
+            classical_intensity(np.empty((3, 0)))
+
+
 class TestIndependentIntensity:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_over_n(self, n, rng):
