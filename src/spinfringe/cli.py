@@ -25,6 +25,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .config import (
+    _FIELD_NAMES,
     ConfigError,
     SimulationConfig,
     default_config,
@@ -151,6 +152,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--screen-distance", type=float, help="aperture-to-screen distance in meters")
     parser.add_argument(
         "--slit-positions",
+        type=_float_list,
         metavar="A1,A2,...",
         help="comma-separated transverse slit positions in meters",
     )
@@ -163,6 +165,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transmitted", choices=["u", "v"], help="which invariant state reaches the screen")
     parser.add_argument(
         "--detection",
+        type=_float_list,
         metavar="I,J,...",
         help="comma-separated which-way detector slit indices ('' for none)",
     )
@@ -170,7 +173,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sg-axis-angle", type=float, help="SG stage measurement axis in radians")
     parser.add_argument("--i0", type=float, help="intensity scale")
     parser.add_argument("--output-format", choices=["csv", "json"], help="output file format")
-    parser.add_argument("-o", "--output", metavar="PATH", help="output file path")
+    parser.add_argument("-o", "--output", dest="output_path", metavar="PATH", help="output file path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,52 +193,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = [piece for piece in text.split(",") if piece.strip() != ""]
-    return tuple(float(piece) for piece in items)
+def _float_list(text: str) -> tuple[float, ...]:
+    """A comma-separated flag value as numbers; blank entries are skipped."""
+    return tuple(float(piece) for piece in text.split(",") if piece.strip() != "")
 
 
-def _overrides_from_args(args: argparse.Namespace, base: SimulationConfig) -> dict:
-    overrides: dict = {}
-    simple = {
-        "wavelength": args.wavelength,
-        "screen_distance": args.screen_distance,
-        "slit_count": args.slit_count,
-        "separation": args.separation,
-        "theta_min": args.theta_min,
-        "theta_max": args.theta_max,
-        "samples": args.samples,
-        "phase_convention": args.phase_convention,
-        "transmitted": args.transmitted,
-        "i0": args.i0,
-        "output_format": args.output_format,
-        "output_path": args.output,
-    }
-    for name, value in simple.items():
-        if value is not None:
-            overrides[name] = value
-    if args.slit_positions is not None:
-        positions = _parse_float_list(args.slit_positions)
-        if not positions:
-            raise ConfigError("slit_positions", "flag value must list at least one position")
-        overrides["slit_positions"] = positions
-    if args.detection is not None:
-        overrides["detection"] = tuple(int(f) for f in _parse_float_list(args.detection))
-    if args.sg_factor is not None or args.sg_axis_angle is not None:
-        stage: dict = {}
-        if args.sg_factor is not None:
-            stage["factor"] = args.sg_factor
-        if args.sg_axis_angle is not None:
-            stage["axis_angle"] = args.sg_axis_angle
-        if "factor" not in stage and base.sg_stage is None:
-            raise ConfigError("sg_stage", "--sg-axis-angle requires --sg-factor or a configured stage")
+def _overrides_from_args(args: argparse.Namespace) -> dict:
+    """The config fields given as flags; every flag's ``dest`` is its field name."""
+    overrides = {name: value for name, value in vars(args).items() if name in _FIELD_NAMES}
+    stage = {"factor": args.sg_factor, "axis_angle": args.sg_axis_angle}
+    stage = {key: value for key, value in stage.items() if value is not None}
+    if stage:
         overrides["sg_stage"] = stage
     return overrides
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     config = load_config(args.config) if args.config else default_config()
-    config = merge_overrides(config, _overrides_from_args(args, config))
+    config = merge_overrides(config, _overrides_from_args(args))
     config.validate()
     return config
 

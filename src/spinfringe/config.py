@@ -4,34 +4,31 @@ All quantities are fixed SI units (meters, radians); no unit inference.  The
 slit layout is given either as explicit ``slit_positions`` or as
 ``slit_count`` + ``separation`` (centered, evenly spaced) -- exactly one
 form.  Flag overrides win over file values; overriding one slit form clears
-the other.
+the other.  Each field is converted once, by its entry in ``_CONVERTERS``;
+a rule the model already enforces is checked by calling the model's check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .fringe import PHASE_CONVENTIONS, TRANSMITTED_CHOICES
-from .geometry import SlitGeometry
+from .fringe import _check_choice, _check_detection, _rotation_scale
+from .geometry import ConfigError, SlitGeometry, _check_positive, _checked_thetas
 
 #: Environment variable that redirects relative output paths to a directory.
 OUTPUT_DIR_ENV = "SPINFRINGE_OUTPUT_DIR"
 
 OUTPUT_FORMATS = ("csv", "json")
 
-
-class ConfigError(ValueError):
-    """A configuration value violated its invariant; carries the field name."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
+#: Largest accepted ``samples``: ten times the largest grid the benchmark runs.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -61,49 +58,30 @@ class SimulationConfig:
     output_path: str = "fringe.csv"
 
     def validate(self) -> None:
-        """Raise ConfigError naming the offending field on any violation."""
-        _require(self.wavelength > 0 and math.isfinite(self.wavelength),
-                 "wavelength", f"must be positive, got {self.wavelength}")
-        _require(self.screen_distance > 0 and math.isfinite(self.screen_distance),
-                 "screen_distance", f"must be positive, got {self.screen_distance}")
+        """Raise ConfigError naming the offending field on any violation.
 
-        has_positions = self.slit_positions is not None
-        has_count_form = self.slit_count is not None or self.separation is not None
-        if has_positions and has_count_form:
-            raise ConfigError("slit_positions",
-                              "give either slit_positions or slit_count+separation, not both")
-        if has_positions:
-            pos = self.slit_positions
-            _require(len(pos) >= 2, "slit_positions", f"need at least 2 slits, got {len(pos)}")
-            _require(all(math.isfinite(a) for a in pos), "slit_positions", "must be finite")
-            _require(all(b > a for a, b in zip(pos, pos[1:])),
-                     "slit_positions", f"must be strictly increasing, got {list(pos)}")
+        Only the rules that belong to the config itself are written here;
+        the layout, angle, convention, choice and detection rules are the
+        model's own checks, run on the config's values.
+        """
+        if self.slit_positions is not None:
+            _require(self.slit_count is None and self.separation is None, "slit_positions",
+                     "give either slit_positions or slit_count+separation, not both")
         else:
             _require(self.slit_count is not None and self.separation is not None,
                      "slit_count", "slit_count and separation must be given together")
-            _require(isinstance(self.slit_count, int) and self.slit_count >= 2,
-                     "slit_count", f"must be an integer >= 2, got {self.slit_count}")
-            _require(self.separation > 0 and math.isfinite(self.separation),
-                     "separation", f"must be positive, got {self.separation}")
+        n = self.geometry().n_slits
 
-        half_pi = math.pi / 2
-        _require(math.isfinite(self.theta_min) and abs(self.theta_min) < half_pi,
-                 "theta_min", f"must lie in (-pi/2, pi/2), got {self.theta_min}")
-        _require(math.isfinite(self.theta_max) and abs(self.theta_max) < half_pi,
-                 "theta_max", f"must lie in (-pi/2, pi/2), got {self.theta_max}")
+        _as_field("theta_min", _checked_thetas, self.theta_min)
+        _as_field("theta_max", _checked_thetas, self.theta_max)
         _require(self.theta_min < self.theta_max,
                  "theta_max", f"must exceed theta_min, got [{self.theta_min}, {self.theta_max}]")
-        _require(isinstance(self.samples, int) and self.samples >= 2,
-                 "samples", f"must be an integer >= 2, got {self.samples}")
-        _require(self.phase_convention in PHASE_CONVENTIONS,
-                 "phase_convention", f"must be one of {list(PHASE_CONVENTIONS)}, got {self.phase_convention!r}")
-        _require(self.transmitted in TRANSMITTED_CHOICES,
-                 "transmitted", f"must be one of {list(TRANSMITTED_CHOICES)}, got {self.transmitted!r}")
+        _require(isinstance(self.samples, int) and 2 <= self.samples <= MAX_SAMPLES,
+                 "samples", f"must be an integer in [2, {MAX_SAMPLES}], got {self.samples}")
+        _as_field("phase_convention", _rotation_scale, self.phase_convention)
+        _as_field("transmitted", _check_choice, self.transmitted)
+        _as_field("detection", _check_detection, self.detection, n)
 
-        n = len(self.slit_positions) if has_positions else self.slit_count
-        for index in self.detection:
-            _require(isinstance(index, int) and 1 <= index <= n,
-                     "detection", f"slit index {index} out of range 1..{n}")
         if self.sg_stage is not None:
             _require(not self.detection, "sg_stage", "cannot be combined with detection")
             _require(self.sg_stage.factor in (1, 2),
@@ -112,7 +90,7 @@ class SimulationConfig:
                      "sg_stage", f"axis_angle must be finite, got {self.sg_stage.axis_angle}")
             _require(n == 2, "sg_stage", f"requires exactly 2 slits, got {n}")
 
-        _require(self.i0 > 0 and math.isfinite(self.i0), "i0", f"must be positive, got {self.i0}")
+        _check_positive("i0", self.i0)
         _require(self.output_format in OUTPUT_FORMATS,
                  "output_format", f"must be one of {list(OUTPUT_FORMATS)}, got {self.output_format!r}")
         _require(isinstance(self.output_path, str) and self.output_path != "",
@@ -132,6 +110,14 @@ class SimulationConfig:
 def _require(condition: bool, field: str, message: str) -> None:
     if not condition:
         raise ConfigError(field, message)
+
+
+def _as_field(field: str, check, *args) -> None:
+    """Run one of the model's own checks; its failure becomes ConfigError(field)."""
+    try:
+        check(*args)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
 def default_config() -> SimulationConfig:
@@ -167,54 +153,51 @@ def load_config(path: str | Path) -> SimulationConfig:
     return config_from_dict(data, source=str(path))
 
 
+def _exact_int(value) -> int:
+    """An integer-valued number as int; bools and fractional values raise."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an integer: {value!r}")
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return operator.index(value)
+
+
+#: The one conversion of each plain field from a JSON value or a parsed flag.
+_CONVERTERS = {
+    **dict.fromkeys(("wavelength", "screen_distance", "separation", "theta_min", "theta_max", "i0"), float),
+    **dict.fromkeys(("phase_convention", "transmitted", "output_format", "output_path"), str),
+    **dict.fromkeys(("slit_count", "samples"), _exact_int),
+    "slit_positions": lambda values: tuple(float(a) for a in values),
+    "detection": lambda values: tuple(_exact_int(i) for i in values),
+}
+
+
 def merge_overrides(config: SimulationConfig, overrides: dict) -> SimulationConfig:
     """Apply a partial field dict on top of a config; later values win.
 
-    Setting ``slit_positions`` clears the count form and vice versa, so a
-    flag can switch layout form without editing the file.  ``sg_stage``
-    accepts a mapping, a SternGerlachStage, or None; partial mappings update
-    the existing stage.
+    Each value goes through its field's entry in ``_CONVERTERS``; a value it
+    cannot convert raises ConfigError naming the field.  A None value leaves
+    the field as it is.  Setting ``slit_positions`` clears the count form and
+    vice versa, so a flag can switch layout form without editing the file.
+    ``sg_stage`` accepts a mapping, a SternGerlachStage, or None; partial
+    mappings update the existing stage.
     """
     updates: dict = {}
     for name, value in overrides.items():
         if name not in _FIELD_NAMES:
             raise ConfigError(name, "unknown field")
-        if value is None and name != "sg_stage":
-            continue
-        if name == "slit_positions":
-            updates["slit_positions"] = tuple(float(a) for a in value)
-            updates.setdefault("slit_count", None)
-            updates.setdefault("separation", None)
-        elif name in ("slit_count", "separation"):
-            updates[name] = int(value) if name == "slit_count" else float(value)
-            updates.setdefault("slit_positions", None)
-        elif name == "detection":
-            updates["detection"] = tuple(int(i) for i in value)
-        elif name == "sg_stage":
-            updates["sg_stage"] = _coerce_sg_stage(value, config.sg_stage)
-        elif name == "samples":
+        if name == "sg_stage":
+            updates[name] = _coerce_sg_stage(value, config.sg_stage)
+        elif value is not None:
             try:
-                updates["samples"] = _exact_int(value)
-            except (TypeError, ValueError):
-                raise ConfigError("samples", f"must be an integer, got {value!r}") from None
-        elif name in ("phase_convention", "transmitted", "output_format", "output_path"):
-            updates[name] = str(value)
-        else:
-            try:
-                updates[name] = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(name, f"must be a number, got {value!r}") from None
+                updates[name] = _CONVERTERS[name](value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(name, f"cannot convert {value!r}: {exc}") from None
+    if "slit_positions" in updates:
+        updates = {"slit_count": None, "separation": None, **updates}
+    elif updates.keys() & {"slit_count", "separation"}:
+        updates = {"slit_positions": None, **updates}
     return replace(config, **updates)
-
-
-def _exact_int(value) -> int:
-    if isinstance(value, bool):
-        raise ValueError("bool is not an integer count")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"not an integer: {value!r}")
 
 
 def _coerce_sg_stage(value, current: SternGerlachStage | None) -> SternGerlachStage | None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScreenPoint, SlitGeometry, _checked_thetas, pair_phase, slit_phases
+from .geometry import ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, pair_phase, slit_phases
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import rotation_matrix
 
@@ -55,6 +55,13 @@ def _rotation_scale(convention: str) -> float:
 def _check_choice(choice: str) -> None:
     if choice not in TRANSMITTED_CHOICES:
         raise ValueError(f"transmitted choice must be one of {TRANSMITTED_CHOICES}, got {choice!r}")
+
+
+def _check_detection(detection, n: int) -> None:
+    """Raise unless every which-way detector index names one of the n slits (1-based)."""
+    for index in detection:
+        if not 1 <= int(index) <= n:
+            raise IndexError(f"detection slit index {index} out of range 1..{n}")
 
 
 def _theta_grid(thetas) -> np.ndarray:
@@ -118,8 +125,7 @@ class FringeProfile:
             raise ValueError(
                 f"intensity shape {intensities.shape} does not match theta shape {thetas.shape}"
             )
-        if not (math.isfinite(self.i0) and self.i0 > 0):
-            raise ValueError(f"i0 must be positive, got {self.i0}")
+        _check_positive("i0", self.i0)
         # written so that a NaN intensity fails the comparison
         if not np.all((intensities >= 0) & (intensities <= self.i0)):
             raise ValueError("intensities must lie in [0, i0]")
@@ -221,12 +227,9 @@ def intensity_profile(
     grid = _theta_grid(thetas)
     _check_choice(choice)
     scale = _rotation_scale(convention)
-    if not (math.isfinite(i0) and i0 > 0):
-        raise ValueError(f"i0 must be positive, got {i0}")
+    _check_positive("i0", i0)
     n = geometry.n_slits
-    for index in detection:
-        if not 1 <= int(index) <= n:
-            raise IndexError(f"detection slit index {index} out of range 1..{n}")
+    _check_detection(detection, n)
 
     if detection:
         values = np.full(grid.shape, 1.0 / n)

@@ -24,6 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class ConfigError(ValueError):
+    """A configuration value violated its invariant; carries the field name.
+
+    Defined here, at the bottom of the import graph, so the layout checks can
+    name the config field they reject; ``config`` re-exports this class.
+    """
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field}: {message}")
+
+
 @dataclass(frozen=True)
 class SlitGeometry:
     """Aperture layout: transverse slit positions, wavelength, screen distance.
@@ -40,15 +52,13 @@ class SlitGeometry:
     def __post_init__(self) -> None:
         pos = tuple(float(a) for a in self.slit_positions)
         if len(pos) < 2:
-            raise ValueError(f"need at least 2 slits, got {len(pos)}")
+            raise ConfigError("slit_positions", f"need at least 2 slits, got {len(pos)}")
         if not all(math.isfinite(a) for a in pos):
-            raise ValueError("slit positions must be finite")
+            raise ConfigError("slit_positions", "must be finite")
         if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise ValueError(f"slit positions must be strictly increasing, got {pos}")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if not (math.isfinite(self.screen_distance) and self.screen_distance > 0):
-            raise ValueError(f"screen distance must be positive, got {self.screen_distance}")
+            raise ConfigError("slit_positions", f"must be strictly increasing, got {pos}")
+        _check_positive("wavelength", self.wavelength)
+        _check_positive("screen_distance", self.screen_distance)
         object.__setattr__(self, "slit_positions", pos)
         object.__setattr__(self, "wavelength", float(self.wavelength))
         object.__setattr__(self, "screen_distance", float(self.screen_distance))
@@ -63,12 +73,16 @@ class SlitGeometry:
     ) -> "SlitGeometry":
         """Layout of ``count`` slits with center-to-center ``separation``, centered on 0."""
         if count < 2:
-            raise ValueError(f"need at least 2 slits, got {count}")
-        if not (math.isfinite(separation) and separation > 0):
-            raise ValueError(f"separation must be positive, got {separation}")
+            raise ConfigError("slit_count", f"need at least 2 slits, got {count}")
+        _check_positive("separation", separation)
         offset = 0.5 * (count - 1)
         positions = tuple((k - offset) * separation for k in range(count))
         return cls(positions, wavelength, screen_distance)
+
+
+def _check_positive(field: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(field, f"must be positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinfringe
 from spinfringe import ConfigError, SimulationConfig, SternGerlachStage, default_config
-from spinfringe.cli import main, run_compare, run_geometry_dump, run_simulate
-from spinfringe.config import load_config, merge_overrides, resolve_output_path
+from spinfringe.cli import _config_from_args, build_parser, main, run_compare, run_geometry_dump, run_simulate
+from spinfringe.config import MAX_SAMPLES, config_from_dict, load_config, merge_overrides, resolve_output_path
 
 
 def write_config(tmp_path, **fields):
@@ -42,6 +45,7 @@ class TestConfigValidation:
             ({"i0": 0.0}, "i0"),
             ({"output_format": "xml"}, "output_format"),
             ({"output_path": ""}, "output_path"),
+            ({"samples": MAX_SAMPLES + 1}, "samples"),
         ],
     )
     def test_each_violation_names_its_field(self, fields, field):
@@ -50,6 +54,9 @@ class TestConfigValidation:
             config.validate()
         assert excinfo.value.field == field
         assert field in str(excinfo.value)
+
+    def test_samples_cap_itself_validates(self):
+        merge_overrides(default_config(), {"samples": MAX_SAMPLES}).validate()
 
     def test_positions_not_increasing(self):
         config = merge_overrides(default_config(), {"slit_positions": [1e-6, -1e-6]})
@@ -94,6 +101,129 @@ class TestConfigValidation:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+
+class TestMalformedInput:
+    """A malformed value exits 2 naming its field; it is never truncated and never a traceback."""
+
+    @pytest.mark.parametrize(
+        "fields,field",
+        [
+            ({"slit_count": 2.7}, "slit_count"),
+            ({"slit_count": "abc"}, "slit_count"),
+            ({"samples": True}, "samples"),
+            ({"detection": [1.5]}, "detection"),
+            ({"detection": [True]}, "detection"),
+            ({"detection": ["x"]}, "detection"),
+            ({"slit_positions": ["a", 1]}, "slit_positions"),
+            ({"slit_positions": 5}, "slit_positions"),
+            ({"wavelength": "abc"}, "wavelength"),
+            ({"sg_stage": {"factor": 1.5}}, "sg_stage"),
+        ],
+    )
+    def test_config_file_value(self, tmp_path, capsys, fields, field):
+        path = write_config(tmp_path, **fields)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert excinfo.value.field == field
+        code = main(["simulate", "--config", str(path), "-o", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {field}:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["--detection", "1.7"], "detection"),
+            (["--slit-positions", ""], "slit_positions"),
+            (["--sg-axis-angle", "0.3"], "sg_stage"),
+        ],
+    )
+    def test_flag_value(self, tmp_path, capsys, argv, name):
+        code = main(["simulate", *argv, "-o", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {name}:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,flag", [(["--detection", "x"], "--detection"),
+                                           (["--slit-positions", "1e-6,b"], "--slit-positions")])
+    def test_unparsable_flag_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", *argv])
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
+    def test_integral_floats_accepted(self, tmp_path):
+        config = load_config(write_config(tmp_path, slit_count=3.0, samples=11.0, detection=[2.0]))
+        assert (config.slit_count, config.samples, config.detection) == (3, 11, (2,))
+        assert all(type(v) is int for v in (config.slit_count, config.samples, *config.detection))
+
+    def test_one_error_class(self):
+        assert spinfringe.ConfigError is spinfringe.config.ConfigError is spinfringe.geometry.ConfigError
+        assert issubclass(ConfigError, ValueError)
+
+
+def _finite(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+def _flag_and_file_inputs():
+    """Valid values for every scalar field and either layout form, as argv and as a document."""
+    positions = st.lists(_finite(-1e-4, 1e-4), min_size=2, max_size=5, unique=True).map(sorted)
+    count_form = st.tuples(st.integers(2, 6), _finite(1e-7, 1e-5))
+    return st.fixed_dictionaries(
+        {"layout": st.one_of(positions, count_form),
+         "thetas": st.lists(_finite(-1.5, 1.5), min_size=2, max_size=2, unique=True).map(sorted),
+         "extra": st.tuples(st.integers(0, 2), _finite(-3.0, 3.0))},
+        optional={
+            "wavelength": _finite(1e-8, 1e-5),
+            "screen_distance": _finite(1e-3, 10.0),
+            "samples": st.integers(2, MAX_SAMPLES),
+            "phase_convention": st.sampled_from(["half", "paper"]),
+            "transmitted": st.sampled_from(["u", "v"]),
+            "i0": _finite(1e-3, 1e3),
+            "output_format": st.sampled_from(["csv", "json"]),
+            "output_path": st.sampled_from(["out.csv", "sub/out.json", "/abs/path.csv"]),
+        },
+    )
+
+
+class TestFlagsMatchFiles:
+    @settings(max_examples=100, deadline=None)
+    @given(_flag_and_file_inputs())
+    def test_flags_and_file_give_the_same_config(self, drawn):
+        layout, (theta_min, theta_max), (extra, angle) = (drawn.pop(k) for k in ("layout", "thetas", "extra"))
+        document = {**drawn, "theta_min": theta_min, "theta_max": theta_max}
+        if isinstance(layout, tuple):
+            document["slit_count"], document["separation"] = layout
+            n = layout[0]
+        else:
+            document["slit_positions"] = layout
+            n = len(layout)
+        if extra == 1:  # which-way detection on every slit
+            document["detection"] = list(range(1, n + 1))
+        elif extra == 2 and n == 2:
+            document["sg_stage"] = {"factor": 1 + (angle > 0), "axis_angle": angle}
+
+        argv = ["simulate"]
+        for name, value in document.items():
+            if name == "sg_stage":
+                argv += [f"--sg-factor={value['factor']}", f"--sg-axis-angle={value['axis_angle']!r}"]
+            elif name == "output_path":
+                argv.append(f"--output={value}")
+            elif isinstance(value, list):
+                argv.append(f"--{name.replace('_', '-')}={','.join(map(repr, value))}")
+            else:
+                argv.append(f"--{name.replace('_', '-')}={value if isinstance(value, str) else repr(value)}")
+
+        from_flags = _config_from_args(build_parser().parse_args(argv))
+        from_file = config_from_dict(json.loads(json.dumps(document)))
+        assert from_flags == from_file
 
 
 class TestConfigMerging:

@@ -42,6 +42,28 @@ class TestSlitGeometry:
             SlitGeometry((-1e-6, 1e-6), 500e-9, -1.0)
 
 
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: SlitGeometry((0.0,), 500e-9, 1.0), "slit_positions"),
+            (lambda: SlitGeometry((0.0, math.inf), 500e-9, 1.0), "slit_positions"),
+            (lambda: SlitGeometry((1e-6, -1e-6), 500e-9, 1.0), "slit_positions"),
+            (lambda: SlitGeometry((-1e-6, 1e-6), 0.0, 1.0), "wavelength"),
+            (lambda: SlitGeometry((-1e-6, 1e-6), math.nan, 1.0), "wavelength"),
+            (lambda: SlitGeometry((-1e-6, 1e-6), 500e-9, -1.0), "screen_distance"),
+            (lambda: SlitGeometry.evenly_spaced(1, 2e-6, 500e-9, 1.0), "slit_count"),
+            (lambda: SlitGeometry.evenly_spaced(2, -2e-6, 500e-9, 1.0), "separation"),
+            (lambda: SlitGeometry.evenly_spaced(2, math.inf, 500e-9, 1.0), "separation"),
+            (lambda: SlitGeometry.evenly_spaced(2, 2e-6, 500e-9, 0.0), "screen_distance"),
+        ],
+    )
+    def test_rejection_names_its_field(self, build, field):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert excinfo.value.field == field
+        assert str(excinfo.value).startswith(f"{field}: ")
+
+
 class TestScreenPoint:
     def test_valid(self):
         assert ScreenPoint(0.3).theta == 0.3
