@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -190,6 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=doc)
         _add_config_arguments(sub)
     commands.add_parser("verify", help="run the self-check battery")
+    # no option starts "-" then a digit, so such a token (-1e-6, -.5,1) is a value
+    for each in (parser, *commands.choices.values()):
+        each._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

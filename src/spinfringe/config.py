@@ -30,6 +30,10 @@ OUTPUT_FORMATS = ("csv", "json")
 #: Largest accepted ``samples``: ten times the largest grid the benchmark runs.
 MAX_SAMPLES = 1_000_000
 
+#: Largest accepted slit count in either layout form, about 15x the benchmark's
+#: 64; checked before the layout is built, as the pair rule is O(N^2).
+MAX_SLITS = 1_000
+
 
 @dataclass(frozen=True)
 class SternGerlachStage:
@@ -67,9 +71,12 @@ class SimulationConfig:
         if self.slit_positions is not None:
             _require(self.slit_count is None and self.separation is None, "slit_positions",
                      "give either slit_positions or slit_count+separation, not both")
+            count, field = len(self.slit_positions), "slit_positions"
         else:
             _require(self.slit_count is not None and self.separation is not None,
                      "slit_count", "slit_count and separation must be given together")
+            count, field = self.slit_count, "slit_count"
+        _require(count <= MAX_SLITS, field, f"at most {MAX_SLITS} slits, got {count}")
         n = self.geometry().n_slits
 
         _as_field("theta_min", _checked_thetas, self.theta_min)

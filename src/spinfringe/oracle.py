@@ -1,11 +1,11 @@
 """Classical-wave reference intensities, written against raw per-slit phases.
 
 A phase set is a 1-D array of per-slit phases (radians) at one screen point;
-a phase table stacks S sets as an (S, N) array, and the intensities reduce
-over its last axis.  Working on raw phases rather than geometry keeps this
-module independent of the model code it validates.  Intensities are
-normalized by N^2 so that the fully constructive value is 1 for every slit
-count.
+a phase table stacks S sets as an (S, N) array.  Every function reduces
+over the last axis: a float for one set, an (S,) array for a table.
+Working on raw phases rather than geometry keeps this module independent
+of the model code it validates.  Intensities are normalized by N^2 so that
+the fully constructive value is 1 for every slit count.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def independent_intensity(phases):
     return _per_set(np.full(arr.shape[:-1], 1.0 / arr.shape[-1]))
 
 
-def pairwise_identity_check(phases) -> tuple[float, float, float]:
+def pairwise_identity_check(phases):
     """Compare the pairwise-cosine sum against the coherent square.
 
     Returns (lhs, rhs, diff) with lhs = N + 2*sum_{i<j} cos(phi_i - phi_j),
@@ -51,10 +51,7 @@ def pairwise_identity_check(phases) -> tuple[float, float, float]:
     pair correlations alone.
     """
     arr = _phase_array(phases)
-    n = arr.size
-    lhs = float(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs += 2.0 * np.cos(arr[i] - arr[j])
-    rhs = float(abs(np.exp(1j * arr).sum()) ** 2)
-    return lhs, rhs, abs(lhs - rhs)
+    first, second = np.triu_indices(arr.shape[-1], 1)
+    lhs = arr.shape[-1] + 2.0 * np.cos(arr[..., first] - arr[..., second]).sum(axis=-1)
+    rhs = np.abs(np.exp(1j * arr).sum(axis=-1)) ** 2
+    return _per_set(lhs), _per_set(rhs), _per_set(np.abs(lhs - rhs))

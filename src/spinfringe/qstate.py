@@ -148,16 +148,15 @@ def basis_v() -> TwoSpinState:
     return TwoSpinState((0.0, _SQRT_HALF, -_SQRT_HALF, 0.0))
 
 
-def decompose_uv(s: TwoSpinState) -> tuple[complex, complex, float]:
+def decompose_uv(s: TwoSpinState | np.ndarray) -> tuple:
     """Coordinates of ``s`` in span{u, v} plus the out-of-plane remainder.
 
     Returns ``(c_u, c_v, residual_norm)`` with ``c_u = <u|s>``,
-    ``c_v = <v|s>`` and ``residual_norm = ||s - c_u*u - c_v*v||``.
+    ``c_v = <v|s>`` and ``residual_norm = ||s - c_u*u - c_v*v||``; an
+    ``(..., 4)`` amplitude stack in place of ``s`` gives ``(...)`` arrays.
     """
-    u = basis_u().vector()
-    v = basis_v().vector()
-    w = s.vector()
-    c_u = complex(np.vdot(u, w))
-    c_v = complex(np.vdot(v, w))
-    residual = w - c_u * u - c_v * v
-    return c_u, c_v, float(np.linalg.norm(residual))
+    plane = np.array([basis_u().vector(), basis_v().vector()])
+    w = s.vector() if isinstance(s, TwoSpinState) else np.asarray(s)
+    coords = w @ plane.conj().T
+    c_u, c_v = np.moveaxis(coords, -1, 0)
+    return c_u, c_v, np.linalg.norm(w - coords @ plane, axis=-1)

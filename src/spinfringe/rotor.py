@@ -14,6 +14,10 @@ difference d = beta - alpha:
 
 so pair rotations compose additively there, which is what lets a pair state
 for one aperture pair be transported into the state for any other pair.
+
+Every function also takes stacks of samples: array angles give one result
+per entry, and an ``(..., 4)`` amplitude array may stand in for a
+TwoSpinState, broadcasting against the angles and giving an array back.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qstate
-from .qstate import TwoSpinState
 
 #: Largest out-of-plane residual accepted by operations restricted to span{u, v}.
 UV_SPAN_TOL = 1e-10
@@ -45,49 +48,58 @@ class PairRotation(NamedTuple):
     beta: float
 
 
-def rotation_matrix(angle: float) -> np.ndarray:
+def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
     """The 2x2 planar rotation [[cos a, sin a], [-sin a, cos a]].
 
-    Orthogonal with determinant 1.  Raises ValueError for non-finite angles.
+    Orthogonal with determinant 1; array angles give shape
+    ``angle.shape + (2, 2)``.  Raises ValueError if any angle is non-finite.
     """
-    a = float(angle)
-    if not math.isfinite(a):
+    # a float is one call per Stern-Gerlach sample; math costs a third of numpy there
+    scalar = isinstance(angle, float)
+    a = angle if scalar else np.asarray(angle, dtype=float)
+    if not (math.isfinite(a) if scalar else np.isfinite(a).all()):
         raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, s], [-s, c]])
+    c, s = (math.cos(a), math.sin(a)) if scalar else (np.cos(a), np.sin(a))
+    matrix = np.array([[c, s], [-s, c]])
+    return matrix if scalar else matrix.transpose(*range(2, a.ndim + 2), 0, 1)
 
 
-def apply_pair(pair: PairRotation | tuple[float, float], state: TwoSpinState) -> TwoSpinState:
+def apply_pair(pair: PairRotation | tuple, state: qstate.TwoSpinState | np.ndarray):
     """Act with R(alpha) on factor 1 and R(beta) on factor 2.
 
     Defined on the whole 4-dimensional space as the literal tensor operator
     R(alpha) (x) R(beta); it preserves norms everywhere, not only on
-    span{u, v}.
+    span{u, v}.  Reading the amplitudes as a row-major 2x2 matrix M,
+    (A (x) B) vec(M) = vec(A M B^T), so no 4x4 operator is built.
     """
     alpha, beta = pair
-    op = np.kron(rotation_matrix(alpha), rotation_matrix(beta))
-    return TwoSpinState.from_vector(op @ state.vector())
+    single = isinstance(state, qstate.TwoSpinState)
+    amps = state.vector() if single else np.asarray(state)
+    grid = amps.reshape(amps.shape[:-1] + (2, 2))
+    moved = np.einsum("...ij,...kl,...jl->...ik", rotation_matrix(alpha), rotation_matrix(beta), grid)
+    moved = moved.reshape(moved.shape[:-2] + (4,))
+    return qstate.TwoSpinState.from_vector(moved) if single else moved
 
 
-def pair_on_u(alpha: float, beta: float) -> tuple[float, float]:
+def pair_on_u(alpha: float | np.ndarray, beta: float | np.ndarray) -> tuple:
     """(c_u, c_v) coordinates of ``apply_pair((alpha, beta), u)``.
 
     Equals (cos(beta - alpha), -sin(beta - alpha)).
     """
-    d = float(beta) - float(alpha)
-    return (math.cos(d), -math.sin(d))
+    d = np.subtract(beta, alpha, dtype=float)
+    return (np.cos(d), -np.sin(d))
 
 
-def pair_on_v(alpha: float, beta: float) -> tuple[float, float]:
+def pair_on_v(alpha: float | np.ndarray, beta: float | np.ndarray) -> tuple:
     """(c_u, c_v) coordinates of ``apply_pair((alpha, beta), v)``.
 
     Equals (sin(beta - alpha), cos(beta - alpha)).
     """
-    d = float(beta) - float(alpha)
-    return (math.sin(d), math.cos(d))
+    d = np.subtract(beta, alpha, dtype=float)
+    return (np.sin(d), np.cos(d))
 
 
-def compose_pair_state(psi: TwoSpinState, beta: float, gamma: float) -> TwoSpinState:
+def compose_pair_state(psi: qstate.TwoSpinState | np.ndarray, beta, gamma):
     """Transport a u/v-plane pair state by the rotation pair (beta, gamma).
 
     For psi = cos(p) u - sin(p) v the result is
@@ -97,10 +109,11 @@ def compose_pair_state(psi: TwoSpinState, beta: float, gamma: float) -> TwoSpinS
     Raises
     ------
     NotInUVSpanError
-        If ``psi`` has an out-of-plane residual above ``UV_SPAN_TOL``.
+        If ``psi``, or any row of a stack, has an out-of-plane residual
+        above ``UV_SPAN_TOL`` or a NaN one.
     """
-    _, _, residual = qstate.decompose_uv(psi)
-    if residual > UV_SPAN_TOL:
+    residual = np.max(qstate.decompose_uv(psi)[2])
+    if not residual <= UV_SPAN_TOL:  # written so that a NaN residual fails
         raise NotInUVSpanError(
             f"state lies outside span{{u, v}}: residual norm {residual:.3e} > {UV_SPAN_TOL:.0e}"
         )

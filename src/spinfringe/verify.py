@@ -30,21 +30,28 @@ class CheckResult:
         return self.max_error <= self.tolerance
 
 
+#: Most samples a check evaluates at once; bounds the stacked temporaries.
+_BLOCK_ROWS = 1000
+
+
 def _count(n: int, scale: float) -> int:
     return max(10, int(round(n * scale)))
 
 
-def _random_uv_state(rng) -> qstate.TwoSpinState:
-    phi = rng.uniform(-10, 10)
-    vec = math.cos(phi) * qstate.basis_u().vector() + math.sin(phi) * qstate.basis_v().vector()
-    return qstate.TwoSpinState.from_vector(vec)
+def _blocks(count: int) -> list[int]:
+    """Row counts of the consecutive blocks that cover ``count`` samples."""
+    return [min(_BLOCK_ROWS, count - start) for start in range(0, count, _BLOCK_ROWS)]
 
 
-def _random_state(rng, normalized: bool = False) -> qstate.TwoSpinState:
-    vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-    if normalized:
-        vec = vec / np.linalg.norm(vec)
-    return qstate.TwoSpinState.from_vector(vec)
+def _worst(*errors) -> float:
+    """Largest absolute entry of the given error arrays."""
+    return max(float(np.max(np.abs(e))) for e in errors)
+
+
+def _uv_states(c_u, c_v) -> np.ndarray:
+    """Amplitude rows c_u * u + c_v * v, one per entry of the coordinate arrays."""
+    u, v = qstate.basis_u().vector(), qstate.basis_v().vector()
+    return np.multiply.outer(c_u, u) + np.multiply.outer(c_v, v)
 
 
 def _random_geometry(rng) -> geometry.SlitGeometry:
@@ -79,113 +86,98 @@ def check_tensor_norm_product(rng, scale: float) -> CheckResult:
 
 
 def check_uv_reconstruction(rng, scale: float) -> CheckResult:
-    u, v = qstate.basis_u().vector(), qstate.basis_v().vector()
     err = 0.0
-    for _ in range(_count(1000, scale)):
-        s = _random_state(rng)
-        c_u, c_v, residual = qstate.decompose_uv(s)
-        remainder = s.vector() - c_u * u - c_v * v
-        err = max(err, abs(np.linalg.norm(remainder) - residual))
-        rebuilt = c_u * u + c_v * v + remainder
-        err = max(err, float(np.max(np.abs(rebuilt - s.vector()))))
+    for rows in _blocks(_count(1000, scale)):
+        parts = rng.normal(size=(rows, 2, 4))
+        states = parts[:, 0] + 1j * parts[:, 1]
+        c_u, c_v, residual = qstate.decompose_uv(states)
+        remainder = states - _uv_states(c_u, c_v)
+        err = max(err, _worst(np.linalg.norm(remainder, axis=-1) - residual,
+                              _uv_states(c_u, c_v) + remainder - states))
     return CheckResult("u/v decomposition reconstruction", err, 1e-12)
 
 
 def check_rotation_orthogonality(rng, scale: float) -> CheckResult:
-    eye = np.eye(2)
     err = 0.0
-    for _ in range(_count(1000, scale)):
-        a = rng.uniform(-10, 10)
+    for rows in _blocks(_count(1000, scale)):
+        a = rng.uniform(-10, 10, size=rows)
         r = rotor.rotation_matrix(a)
-        err = max(err, float(np.max(np.abs(r.T @ r - eye))))
-        err = max(err, abs(float(np.linalg.det(r)) - 1.0))
-        err = max(err, float(np.max(np.abs(rotor.rotation_matrix(-a) @ r - eye))))
+        err = max(err, _worst(np.swapaxes(r, -1, -2) @ r - np.eye(2), np.linalg.det(r) - 1.0,
+                              rotor.rotation_matrix(-a) @ r - np.eye(2)))
     return CheckResult("rotation matrix orthogonality", err, 1e-12)
 
 
 def check_equal_angle_invariance(rng, scale: float) -> CheckResult:
-    u, v = qstate.basis_u(), qstate.basis_v()
+    states = np.array([qstate.basis_u().vector(), qstate.basis_v().vector()])
     err = 0.0
-    for _ in range(_count(10_000, scale)):
-        a = rng.uniform(-10, 10)
-        for state in (u, v):
-            moved = rotor.apply_pair((a, a), state)
-            err = max(err, float(np.max(np.abs(moved.vector() - state.vector()))))
+    for rows in _blocks(_count(10_000, scale)):
+        a = rng.uniform(-10, 10, size=(rows, 1))
+        err = max(err, _worst(rotor.apply_pair((a, a), states) - states))
     return CheckResult("equal-angle invariance of u and v", err, 1e-12)
 
 
 def check_uv_transformation_law(rng, scale: float) -> CheckResult:
-    u, v = qstate.basis_u(), qstate.basis_v()
     err = 0.0
-    for _ in range(_count(10_000, scale)):
-        alpha, beta = rng.uniform(-10, 10, size=2)
-        d = beta - alpha
-        c_u, c_v, residual = qstate.decompose_uv(rotor.apply_pair((alpha, beta), u))
-        err = max(err, abs(c_u - math.cos(d)), abs(c_v + math.sin(d)), residual)
-        err = max(err, abs(rotor.pair_on_u(alpha, beta)[0] - math.cos(d)))
-        err = max(err, abs(rotor.pair_on_u(alpha, beta)[1] + math.sin(d)))
-        c_u, c_v, residual = qstate.decompose_uv(rotor.apply_pair((alpha, beta), v))
-        err = max(err, abs(c_u - math.sin(d)), abs(c_v - math.cos(d)), residual)
-        err = max(err, abs(rotor.pair_on_v(alpha, beta)[0] - math.sin(d)))
-        err = max(err, abs(rotor.pair_on_v(alpha, beta)[1] - math.cos(d)))
+    for rows in _blocks(_count(10_000, scale)):
+        alpha, beta = rng.uniform(-10, 10, size=(rows, 2)).T
+        cos_d, sin_d = np.cos(beta - alpha), np.sin(beta - alpha)
+        for state, law, (want_u, want_v) in (
+            (qstate.basis_u(), rotor.pair_on_u, (cos_d, -sin_d)),
+            (qstate.basis_v(), rotor.pair_on_v, (sin_d, cos_d)),
+        ):
+            c_u, c_v, residual = qstate.decompose_uv(rotor.apply_pair((alpha, beta), state.vector()))
+            law_u, law_v = law(alpha, beta)
+            err = max(err, _worst(c_u - want_u, c_v - want_v, residual, law_u - want_u, law_v - want_v))
     return CheckResult("u/v transformation law", err, 1e-12)
 
 
 def check_single_sided_terms(rng, scale: float) -> CheckResult:
-    u = qstate.basis_u()
-    root_half = math.sqrt(0.5)
     err = 0.0
-    for _ in range(_count(1000, scale)):
-        a = rng.uniform(-10, 10)
-        expected = np.array([math.cos(a), -math.sin(a), math.sin(a), math.cos(a)]) * root_half
-        moved = rotor.apply_pair((0.0, a), u).vector()
-        err = max(err, float(np.max(np.abs(moved - expected))))
+    for rows in _blocks(_count(1000, scale)):
+        a = rng.uniform(-10, 10, size=rows)
+        expected = np.stack([np.cos(a), -np.sin(a), np.sin(a), np.cos(a)], axis=-1) * math.sqrt(0.5)
+        err = max(err, _worst(rotor.apply_pair((0.0, a), qstate.basis_u().vector()) - expected))
     return CheckResult("single-sided action termwise", err, 1e-12)
 
 
 def check_composition_law(rng, scale: float) -> CheckResult:
-    u, v = qstate.basis_u().vector(), qstate.basis_v().vector()
     err = 0.0
-    for _ in range(_count(10_000, scale)):
-        alpha, beta, gamma = rng.uniform(-10, 10, size=3)
-        p12 = beta - alpha
-        psi12 = qstate.TwoSpinState.from_vector(math.cos(p12) * u - math.sin(p12) * v)
-        moved = rotor.compose_pair_state(psi12, beta, gamma)
-        p13 = gamma - alpha
-        expected = math.cos(p13) * u - math.sin(p13) * v
-        err = max(err, float(np.max(np.abs(moved.vector() - expected))))
+    for rows in _blocks(_count(10_000, scale)):
+        alpha, beta, gamma = rng.uniform(-10, 10, size=(rows, 3)).T
+        psi12 = _uv_states(np.cos(beta - alpha), -np.sin(beta - alpha))
+        expected = _uv_states(np.cos(gamma - alpha), -np.sin(gamma - alpha))
+        err = max(err, _worst(rotor.compose_pair_state(psi12, beta, gamma) - expected))
     return CheckResult("pair-state composition", err, 1e-12)
 
 
 def check_group_action(rng, scale: float) -> CheckResult:
     err = 0.0
-    for _ in range(_count(10_000, scale)):
-        a1, b1, a2, b2 = rng.uniform(-10, 10, size=4)
-        state = _random_uv_state(rng)
+    for rows in _blocks(_count(10_000, scale)):
+        a1, b1, a2, b2, phi = rng.uniform(-10, 10, size=(rows, 5)).T
+        state = _uv_states(np.cos(phi), np.sin(phi))
         chained = rotor.apply_pair((a2, b2), rotor.apply_pair((a1, b1), state))
-        merged = rotor.apply_pair((a1 + a2, b1 + b2), state)
-        err = max(err, float(np.max(np.abs(chained.vector() - merged.vector()))))
+        err = max(err, _worst(chained - rotor.apply_pair((a1 + a2, b1 + b2), state)))
     return CheckResult("pair action group law", err, 1e-12)
 
 
 def check_reduction_law(rng, scale: float) -> CheckResult:
     err = 0.0
-    for _ in range(_count(10_000, scale)):
-        alpha, beta = rng.uniform(-10, 10, size=2)
-        state = _random_uv_state(rng)
-        full = rotor.apply_pair((alpha, beta), state)
+    for rows in _blocks(_count(10_000, scale)):
+        alpha, beta, phi = rng.uniform(-10, 10, size=(rows, 3)).T
+        state = _uv_states(np.cos(phi), np.sin(phi))
         reduced = rotor.apply_pair((0.0, beta - alpha), state)
-        err = max(err, float(np.max(np.abs(full.vector() - reduced.vector()))))
+        err = max(err, _worst(rotor.apply_pair((alpha, beta), state) - reduced))
     return CheckResult("single-sided reduction law", err, 1e-12)
 
 
 def check_norm_preservation(rng, scale: float) -> CheckResult:
     err = 0.0
-    for _ in range(_count(1000, scale)):
-        alpha, beta = rng.uniform(-10, 10, size=2)
-        state = _random_state(rng)
+    for rows in _blocks(_count(1000, scale)):
+        alpha, beta = rng.uniform(-10, 10, size=(rows, 2)).T
+        parts = rng.normal(size=(rows, 2, 4))
+        state = parts[:, 0] + 1j * parts[:, 1]
         moved = rotor.apply_pair((alpha, beta), state)
-        err = max(err, abs(moved.norm2() - state.norm2()))
+        err = max(err, _worst((np.abs(moved) ** 2).sum(-1) - (np.abs(state) ** 2).sum(-1)))
     return CheckResult("pair action norm preservation", err, 1e-12)
 
 
@@ -226,10 +218,9 @@ def check_fringe_maxima_paper(scale: float) -> CheckResult:
 def check_pairwise_identity(rng, scale: float) -> CheckResult:
     err = 0.0
     for n in range(2, 7):
-        for _ in range(_count(10_000, scale)):
-            phases = rng.uniform(-20, 20, size=n)
-            _, _, diff = oracle.pairwise_identity_check(phases)
-            err = max(err, diff)
+        for rows in _blocks(_count(10_000, scale)):
+            _, _, diff = oracle.pairwise_identity_check(rng.uniform(-20, 20, size=(rows, n)))
+            err = max(err, _worst(diff))
     return CheckResult("pairwise identity N=2..6", err, 1e-9)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import spinfringe
 from spinfringe import ConfigError, SimulationConfig, SternGerlachStage, default_config
 from spinfringe.cli import _config_from_args, build_parser, main, run_compare, run_geometry_dump, run_simulate
-from spinfringe.config import MAX_SAMPLES, config_from_dict, load_config, merge_overrides, resolve_output_path
+from spinfringe.config import MAX_SAMPLES, MAX_SLITS, config_from_dict, load_config, merge_overrides, resolve_output_path
 
 
 def write_config(tmp_path, **fields):
@@ -46,6 +46,8 @@ class TestConfigValidation:
             ({"output_format": "xml"}, "output_format"),
             ({"output_path": ""}, "output_path"),
             ({"samples": MAX_SAMPLES + 1}, "samples"),
+            ({"slit_count": MAX_SLITS + 1}, "slit_count"),
+            ({"slit_positions": [k * 1e-6 for k in range(MAX_SLITS + 1)]}, "slit_positions"),
         ],
     )
     def test_each_violation_names_its_field(self, fields, field):
@@ -57,6 +59,21 @@ class TestConfigValidation:
 
     def test_samples_cap_itself_validates(self):
         merge_overrides(default_config(), {"samples": MAX_SAMPLES}).validate()
+
+    @pytest.mark.parametrize("form", ["slit_count", "slit_positions"])
+    def test_slit_cap_checked_before_the_layout_is_built(self, form, monkeypatch):
+        count = {"slit_count": MAX_SLITS + 1}
+        positions = {"slit_positions": [k * 1e-6 for k in range(MAX_SLITS + 1)]}
+        config = merge_overrides(default_config(), count if form == "slit_count" else positions)
+        monkeypatch.setattr(SimulationConfig, "geometry", lambda self: pytest.fail("layout built"))
+        with pytest.raises(ConfigError) as excinfo:
+            config.validate()
+        assert excinfo.value.field == form
+
+    def test_slit_cap_itself_validates(self):
+        merge_overrides(default_config(), {"slit_count": MAX_SLITS}).validate()
+        positions = [k * 1e-6 for k in range(MAX_SLITS)]
+        merge_overrides(default_config(), {"slit_positions": positions}).validate()
 
     def test_positions_not_increasing(self):
         config = merge_overrides(default_config(), {"slit_positions": [1e-6, -1e-6]})
@@ -157,6 +174,22 @@ class TestMalformedInput:
         assert excinfo.value.code == 2
         assert f"argument {flag}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--theta-min", "-1e-1"),
+            ("--theta-max", "-2.5E-2"),
+            ("--slit-positions", "-1e-6,1e-6"),
+            ("--detection", "-1,2"),
+            ("--sg-axis-angle", "-.5e-1"),
+        ],
+    )
+    def test_negative_values_parse_in_the_space_form(self, flag, value):
+        spaced = build_parser().parse_args(["simulate", flag, value])
+        joined = build_parser().parse_args(["simulate", f"{flag}={value}"])
+        assert spaced == joined
+        assert vars(spaced)[flag[2:].replace("-", "_")] is not None
 
     def test_integral_floats_accepted(self, tmp_path):
         config = load_config(write_config(tmp_path, slit_count=3.0, samples=11.0, detection=[2.0]))

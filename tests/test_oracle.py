@@ -88,6 +88,19 @@ class TestPairwiseIdentity:
         _, _, diff = pairwise_identity_check([0.0, math.pi / 3, math.pi])
         assert diff <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(table=st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(st.floats(-50, 50), min_size=n, max_size=n), min_size=1, max_size=6)
+    ))
+    def test_table_rows_match_single_sets(self, table):
+        lhs, rhs, diff = pairwise_identity_check(np.array(table))
+        assert lhs.shape == rhs.shape == diff.shape == (len(table),)
+        for k, row in enumerate(table):
+            assert np.max(np.abs(np.array([lhs[k], rhs[k], diff[k]]) - pairwise_identity_check(row))) <= 1e-12
+
+    def test_single_set_gives_floats(self):
+        assert all(type(x) is float for x in pairwise_identity_check([0.0, 1.0, 2.5]))
+
     def test_randomized_brute_force(self, rng):
         worst = 0.0
         for n in range(2, 7):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinfringe import (
     NotInUVSpanError,
@@ -56,6 +59,8 @@ class TestRotationMatrix:
     def test_non_finite_angle_rejected(self, bad):
         with pytest.raises(ValueError):
             rotation_matrix(bad)
+        with pytest.raises(ValueError):
+            rotation_matrix(np.array([[0.1, 0.2], [bad, 0.3]]))
 
 
 class TestApplyPair:
@@ -157,3 +162,61 @@ class TestComposePairState:
         vec[1] += 1e-11  # inside the span tolerance
         out = compose_pair_state(TwoSpinState.from_vector(vec), 0.0, 0.0)
         assert np.max(np.abs(out.vector() - vec)) <= 1e-12
+
+
+def _bounded(shape, bound):
+    return hnp.arrays(np.float64, shape, elements=st.floats(-bound, bound))
+
+
+class TestStackedForms:
+    """Each row of a stacked call equals the scalar call on that row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=4))
+    def test_rows_match_scalar_calls(self, data, shape):
+        alpha, beta, phi = (data.draw(_bounded(shape, 20.0)) for _ in range(3))
+        parts = data.draw(_bounded(shape + (2, 4), 10.0))
+        states = parts[..., 0, :] + 1j * parts[..., 1, :]
+        in_plane = np.multiply.outer(np.cos(phi), basis_u().vector()) + np.multiply.outer(
+            np.sin(phi), basis_v().vector()
+        )
+
+        rotations = rotation_matrix(alpha)
+        moved = apply_pair((alpha, beta), states)
+        moved_u = apply_pair((alpha, beta), basis_u().vector())
+        c_u, c_v, residual = decompose_uv(states)
+        on_u, on_v = pair_on_u(alpha, beta), pair_on_v(alpha, beta)
+        composed = compose_pair_state(in_plane, alpha, beta)
+        assert rotations.shape == shape + (2, 2)
+        assert moved.shape == moved_u.shape == composed.shape == shape + (4,)
+        assert c_u.shape == c_v.shape == residual.shape == shape
+        assert all(part.shape == shape for part in (*on_u, *on_v))
+
+        def close(stacked, scalar):
+            assert np.max(np.abs(np.asarray(stacked) - np.asarray(scalar))) <= 1e-12
+
+        for k in np.ndindex(shape):
+            a, b = alpha[k], beta[k]
+            state = TwoSpinState.from_vector(states[k])
+            close(rotations[k], rotation_matrix(a))
+            close(moved[k], apply_pair((a, b), state).vector())
+            close(moved_u[k], apply_pair((a, b), basis_u()).vector())
+            close((c_u[k], c_v[k], residual[k]), decompose_uv(state))
+            close((on_u[0][k], on_u[1][k]), pair_on_u(a, b))
+            close((on_v[0][k], on_v[1][k]), pair_on_v(a, b))
+            scalar = compose_pair_state(TwoSpinState.from_vector(in_plane[k]), a, b)
+            close(composed[k], scalar.vector())
+
+    def test_scalar_forms_keep_their_types(self):
+        assert isinstance(apply_pair((0.1, 0.4), basis_u()), TwoSpinState)
+        assert rotation_matrix(0.3).shape == (2, 2)
+        c_u, c_v, residual = decompose_uv(basis_v())
+        assert isinstance(c_u, complex) and isinstance(c_v, complex) and isinstance(residual, float)
+        assert all(isinstance(x, float) for x in pair_on_u(0.1, 0.4) + pair_on_v(0.1, 0.4))
+
+    @pytest.mark.parametrize("bad_row", [[0, 1, 0, 0], [math.nan, 0, 0, 0]])
+    def test_one_bad_row_rejects_the_stack(self, bad_row):
+        stack = np.array([basis_u().vector(), basis_v().vector(), bad_row])
+        with pytest.raises(NotInUVSpanError):
+            compose_pair_state(stack, 0.1, 0.2)
+        assert compose_pair_state(stack[:2], 0.1, 0.2).shape == (2, 4)

@@ -1,6 +1,9 @@
 """The self-check battery: report contract and fault injection."""
 
+import numpy as np
+
 import spinfringe.rotor
+import spinfringe.verify
 from spinfringe.verify import format_report, run_checks
 
 
@@ -47,6 +50,25 @@ class TestFaultInjection:
         assert "u/v transformation law" in failed
         report = format_report(results)
         assert "FAIL" in report
+
+    def test_fault_in_the_last_partial_block_detected(self, monkeypatch):
+        # 10,000 samples at scale 0.123 are 1,230: one full block and a partial one
+        count = round(10_000 * 0.123)
+        partial = count % spinfringe.verify._BLOCK_ROWS
+        assert count > spinfringe.verify._BLOCK_ROWS and partial > 0
+        true_law = spinfringe.rotor.pair_on_u
+
+        def skewed(alpha, beta):
+            c_u, c_v = true_law(alpha, beta)
+            if np.shape(alpha) == (partial,):
+                c_u = c_u.copy()
+                c_u[-1] += 1e-6
+            return (c_u, c_v)
+
+        monkeypatch.setattr(spinfringe.rotor, "pair_on_u", skewed)
+        results = run_checks(scale=0.123)
+        failed = [r.name for r in results if not r.passed]
+        assert failed == ["u/v transformation law"]
 
     def test_wrong_operator_detected(self, monkeypatch):
         true_op = spinfringe.rotor.apply_pair
