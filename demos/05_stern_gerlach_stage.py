@@ -12,7 +12,6 @@ import numpy as np
 
 from spinfringe import (
     PairState,
-    ScreenPoint,
     SlitGeometry,
     ensemble_transmission,
     intensity_profile,
@@ -36,10 +35,10 @@ layout = SlitGeometry.evenly_spaced(2, 2e-6, 500e-9, 1.0)
 thetas = np.linspace(-0.3, 0.3, 801)
 plain = intensity_profile(layout, thetas)
 
-values = np.empty(thetas.shape)
-for k, theta in enumerate(thetas):
-    pair = two_slit_state_at(layout, ScreenPoint(theta))
-    values[k] = ensemble_transmission(measure_factor(pair.as_state(), 1, 0.0), "u")
+# one stacked call per step over the whole grid: (801, 4) states, then
+# (801, 2) weights with (801, 2, 4) collapsed states, then (801,) values
+states = two_slit_state_at(layout, thetas).as_state()
+values = ensemble_transmission(measure_factor(states, 1, 0.0), "u")
 
 print("\nScreen profile with the stage on:")
 print(f"  peak without stage: {plain.intensities.max():.3f} * I0")

@@ -41,7 +41,7 @@ from .fringe import (
     measure_factor,
     two_slit_state_at,
 )
-from .geometry import ScreenPoint, incidence_angles, slit_phases
+from .geometry import incidence_angles, slit_phases
 from .oracle import classical_intensity, independent_intensity
 
 
@@ -63,11 +63,12 @@ def compute_profile(config: SimulationConfig) -> FringeProfile:
             i0=config.i0,
         )
     stage = config.sg_stage
+    block = verify_mod._BLOCK_ROWS  # row blocks bound the stacked temporaries, as in verify
     values = np.empty(grid.shape)
-    for k, theta in enumerate(grid):
-        pair = two_slit_state_at(layout, ScreenPoint(theta), config.phase_convention)
-        ensemble = measure_factor(pair.as_state(), stage.factor, stage.axis_angle)
-        values[k] = ensemble_transmission(ensemble, config.transmitted)
+    for start in range(0, grid.size, block):
+        states = two_slit_state_at(layout, grid[start:start + block], config.phase_convention).as_state()
+        ensemble = measure_factor(states, stage.factor, stage.axis_angle)
+        values[start:start + block] = ensemble_transmission(ensemble, config.transmitted)
     return FringeProfile(grid, np.clip(config.i0 * values, 0.0, config.i0), config.i0)
 
 

@@ -20,12 +20,11 @@ d*sin(theta) = m*lambda/2.  Both are first-class; callers choose.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, pair_phase, slit_phases
+from .geometry import ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, slit_phases
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import rotation_matrix
 
@@ -76,34 +75,40 @@ def _theta_grid(thetas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairState:
-    """Pair state cos(phi) u - sin(phi) v at one screen point.
+    """Pair state cos(phi) u - sin(phi) v at one screen point, or at each of a grid.
 
     ``phi`` is the u/v-plane rotation angle (already convention-scaled);
     ``c_u`` and ``c_v`` are its real u/v coordinates, with
     c_u^2 + c_v^2 = 1.  c_u is the amplitude usually called rho: the
-    transmitted state registers with probability rho^2 = c_u^2.
+    transmitted state registers with probability rho^2 = c_u^2.  The fields
+    are floats for one point and arrays of the grid's shape for a grid.
     """
 
-    phi: float
-    c_u: float
-    c_v: float
+    phi: float | np.ndarray
+    c_u: float | np.ndarray
+    c_v: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if abs(self.c_u**2 + self.c_v**2 - 1.0) > 1e-12:
+        total = np.square(self.c_u) + np.square(self.c_v)
+        on_circle = np.abs(total - 1.0) <= 1e-12  # False for NaN as well
+        if not on_circle.all():
             raise ValueError(
                 f"pair-state coordinates must lie on the unit circle, got "
-                f"c_u^2 + c_v^2 = {self.c_u**2 + self.c_v**2}"
+                f"c_u^2 + c_v^2 = {total[~on_circle][0]}"
             )
 
     @classmethod
-    def from_rotation(cls, phi: float) -> "PairState":
-        """Pair state produced by rotating u through ``phi`` in the u/v plane."""
-        p = float(phi)
-        return cls(p, math.cos(p), -math.sin(p))
+    def from_rotation(cls, phi) -> "PairState":
+        """Pair state produced by rotating u through ``phi``; an angle array gives array fields."""
+        p = np.asarray(phi, dtype=float)
+        fields = (p, np.cos(p), -np.sin(p))
+        return cls(*(field if p.ndim else float(field) for field in fields))
 
-    def as_state(self) -> TwoSpinState:
-        """The full 4-amplitude state c_u * u + c_v * v."""
-        return TwoSpinState.from_vector(self.c_u * basis_u().vector() + self.c_v * basis_v().vector())
+    def as_state(self) -> TwoSpinState | np.ndarray:
+        """The 4-amplitude state c_u * u + c_v * v; array fields give an ``(..., 4)`` stack."""
+        u, v = basis_u().vector(), basis_v().vector()
+        amps = np.multiply.outer(self.c_u, u) + np.multiply.outer(self.c_v, v)
+        return TwoSpinState.from_vector(amps) if amps.ndim == 1 else amps
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +163,14 @@ class DetectionResult:
 
 
 def two_slit_state_at(
-    geometry: SlitGeometry, point: ScreenPoint, convention: str = "half"
+    geometry: SlitGeometry, point: ScreenPoint | np.ndarray, convention: str = "half"
 ) -> PairState:
     """Pair state induced at a screen point by a two-slit layout.
 
     The u/v rotation angle is the optical pair phase scaled by the
     convention (full phase for "paper", half for "half").  At theta = 0 the
-    state is pure u.
+    state is pure u.  ``point`` is a ScreenPoint or an angle array, as in
+    ``slit_phases``; an array gives a PairState with fields of its shape.
 
     Raises
     ------
@@ -173,8 +179,8 @@ def two_slit_state_at(
     """
     if geometry.n_slits != 2:
         raise GeometryError(f"two-slit state needs exactly 2 slits, got {geometry.n_slits}")
-    phi = _rotation_scale(convention) * pair_phase(geometry, point, 1, 2)
-    return PairState.from_rotation(phi)
+    phases = slit_phases(geometry, point)
+    return PairState.from_rotation(_rotation_scale(convention) * (phases[..., 1] - phases[..., 0]))
 
 
 def transmission_probability(state: PairState, choice: str = "u") -> float:
@@ -269,47 +275,57 @@ def detect_at_slit(state: TwoSpinState, i: int) -> DetectionResult:
     return DetectionResult(aperture=i, state=Spinor(_SQRT_HALF, _SQRT_HALF))
 
 
-def measure_factor(state: TwoSpinState, factor: int, axis_angle: float = 0.0) -> Ensemble:
+def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: float | np.ndarray = 0.0):
     """Projective measurement of one tensor factor along a rotated axis.
 
     The measurement basis is R(axis_angle) applied to {|+>, |->} on the
     chosen factor (1 or 2).  Returns the ensemble of collapsed, renormalized
     pair states weighted by their outcome probabilities; zero-probability
     branches are dropped, so at most two entries come back and their weights
-    sum to 1.
+    sum to 1.  An ``(..., 4)`` amplitude stack gives ``(weights, states)`` of
+    shapes ``(..., 2)`` and ``(..., 2, 4)`` instead, a dropped branch being
+    weight 0 and a zero state; ``axis_angle`` may then be a broadcasting
+    array.  With the amplitudes as a row-major 2x2 matrix M, the projector P
+    = b b^T of a column b of R(axis_angle) gives the branch vec(P M) on
+    factor 1 and vec(M P^T) on factor 2.
 
     Raises
     ------
     ValueError
-        If ``factor`` is not 1 or 2, or the input state is not normalized
-        (in particular, has zero norm).
+        If ``factor`` is not 1 or 2, or the input state (any row of a stack)
+        is not normalized: zero-norm, off by more than 1e-9, or NaN.
     """
     if factor not in (1, 2):
         raise ValueError(f"measured factor must be 1 or 2, got {factor}")
-    vec = state.vector()
-    norm2 = float(np.vdot(vec, vec).real)
-    if norm2 <= _WEIGHT_CUTOFF:
+    single = isinstance(state, TwoSpinState)
+    amps = state.vector() if single else np.asarray(state, dtype=complex)
+    norm2 = np.sum(np.abs(amps) ** 2, axis=-1)
+    if np.any(norm2 <= _WEIGHT_CUTOFF):
         raise ValueError("cannot measure a zero-norm state")
-    if abs(norm2 - 1.0) > 1e-9:
-        raise ValueError(f"state must be normalized before measurement, norm^2={norm2}")
-    basis = rotation_matrix(axis_angle).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    entries = []
-    for outcome in (0, 1):
-        b = basis[:, outcome]
-        projector = np.outer(b, b.conj())
-        operator = np.kron(projector, eye) if factor == 1 else np.kron(eye, projector)
-        branch = operator @ vec
-        weight = float(np.vdot(branch, branch).real)
-        if weight > _WEIGHT_CUTOFF:
-            entries.append((weight, TwoSpinState.from_vector(branch / math.sqrt(weight))))
+    normalized = np.abs(norm2 - 1.0) <= 1e-9  # False for NaN as well
+    if not normalized.all():
+        raise ValueError(f"state must be normalized before measurement, norm^2={norm2[~normalized][0]}")
+    basis = rotation_matrix(axis_angle)
+    grid = amps.reshape(amps.shape[:-1] + (2, 2))
+    spec = "...ik,...jk,...jl->...kil" if factor == 1 else "...lk,...jk,...ij->...kil"
+    branches = np.einsum(spec, basis, basis, grid)
+    branches = branches.reshape(branches.shape[:-2] + (4,))
+    weights = np.sum(np.abs(branches) ** 2, axis=-1)
+    kept = weights > _WEIGHT_CUTOFF
+    weights = np.where(kept, weights, 0.0)
+    states = branches / np.sqrt(np.where(kept, weights, 1.0))[..., None] * kept[..., None]
+    if not single:
+        return weights, states
+    entries = ((float(w), TwoSpinState.from_vector(s)) for w, s in zip(weights, states) if w > 0.0)
     return Ensemble(tuple(entries))
 
 
-def ensemble_transmission(ensemble: Ensemble, choice: str = "u") -> float:
+def ensemble_transmission(ensemble: Ensemble | tuple, choice: str = "u"):
     """Average probability that a mixture registers as the transmitted state.
 
-    Computes sum_k w_k * |<t|s_k>|^2 with t = u or v per ``choice``.
+    Computes sum_k w_k * |<t|s_k>|^2 with t = u or v per ``choice``.  An
+    Ensemble gives a float; the ``(weights, states)`` pair of a stacked
+    ``measure_factor`` call gives a ``(...)`` array.
 
     Raises
     ------
@@ -318,11 +334,14 @@ def ensemble_transmission(ensemble: Ensemble, choice: str = "u") -> float:
     """
     _check_choice(choice)
     target = (basis_u() if choice == "u" else basis_v()).vector()
-    total = 0.0
-    for k, (weight, entry) in enumerate(ensemble.entries):
-        if not isinstance(entry, TwoSpinState):
-            raise ValueError(
-                f"entry {k} is {type(entry).__name__}; transmission needs two-spin states only"
-            )
-        total += weight * abs(np.vdot(target, entry.vector())) ** 2
-    return float(total)
+    single = isinstance(ensemble, Ensemble)
+    if single:
+        for k, (_, entry) in enumerate(ensemble.entries):
+            if not isinstance(entry, TwoSpinState):
+                raise ValueError(
+                    f"entry {k} is {type(entry).__name__}; transmission needs two-spin states only"
+                )
+        ensemble = zip(*((w, entry.vector()) for w, entry in ensemble.entries))
+    weights, states = (np.asarray(part) for part in ensemble)
+    total = np.sum(weights * np.abs(states @ target.conj()) ** 2, axis=-1)
+    return float(total) if single else total

@@ -52,7 +52,7 @@ SPIN_DOWN = Spinor(0.0, 1.0)
 
 @dataclass(frozen=True)
 class TwoSpinState:
-    """Entangled pair state over the ordered basis (|++>, |+->, |-+>, |-->)."""
+    """Entangled pair state over the ordered basis (|++>, |+->, |-+>, |-->); amplitudes are finite."""
 
     amplitudes: tuple[complex, complex, complex, complex]
 
@@ -60,6 +60,8 @@ class TwoSpinState:
         amps = tuple(complex(a) for a in self.amplitudes)
         if len(amps) != 4:
             raise ValueError(f"a two-spin state needs 4 amplitudes, got {len(amps)}")
+        if not all(cmath.isfinite(a) for a in amps):
+            raise ValueError(f"a two-spin state needs finite amplitudes, got {amps}")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod

@@ -70,10 +70,16 @@ def apply_pair(pair: PairRotation | tuple, state: qstate.TwoSpinState | np.ndarr
     Defined on the whole 4-dimensional space as the literal tensor operator
     R(alpha) (x) R(beta); it preserves norms everywhere, not only on
     span{u, v}.  Reading the amplitudes as a row-major 2x2 matrix M,
-    (A (x) B) vec(M) = vec(A M B^T), so no 4x4 operator is built.
+    (A (x) B) vec(M) = vec(A M B^T), so no 4x4 operator is built.  A
+    TwoSpinState takes scalar angles only (ValueError otherwise).
     """
     alpha, beta = pair
     single = isinstance(state, qstate.TwoSpinState)
+    if single and (np.ndim(alpha) or np.ndim(beta)):
+        raise ValueError(
+            f"a TwoSpinState takes scalar angles, got angles of shape {np.broadcast(alpha, beta).shape};"
+            " pass state.vector() to act on a stack"
+        )
     amps = state.vector() if single else np.asarray(state)
     grid = amps.reshape(amps.shape[:-1] + (2, 2))
     moved = np.einsum("...ij,...kl,...jl->...ik", rotation_matrix(alpha), rotation_matrix(beta), grid)

@@ -30,7 +30,7 @@ class CheckResult:
         return self.max_error <= self.tolerance
 
 
-#: Most samples a check evaluates at once; bounds the stacked temporaries.
+#: Most samples a check or the CLI's SG stage evaluates at once; bounds the stacked temporaries.
 _BLOCK_ROWS = 1000
 
 
@@ -261,26 +261,22 @@ def check_measurement_weights(rng, scale: float) -> CheckResult:
 
 def check_measurement_transmission(rng, scale: float) -> CheckResult:
     err = 0.0
-    eye = np.eye(2, dtype=complex)
-    for _ in range(_count(1000, scale)):
-        phi = rng.uniform(-10, 10)
-        axis = rng.uniform(-math.pi, math.pi)
-        state = fringe.PairState.from_rotation(phi).as_state()
-        ensemble = fringe.measure_factor(state, factor=1, axis_angle=axis)
-        model = fringe.ensemble_transmission(ensemble, "u")
-        err = max(err, abs(model - math.cos(phi) ** 2 / 2.0))
-        # density-matrix route: rho' = sum_k P_k rho P_k, transmission = <u|rho'|u>
-        vec = state.vector()
-        rho = np.outer(vec, vec.conj())
-        basis = rotor.rotation_matrix(axis).astype(complex)
-        rho_post = np.zeros_like(rho)
-        for outcome in (0, 1):
-            b = basis[:, outcome]
-            projector = np.kron(np.outer(b, b.conj()), eye)
-            rho_post += projector @ rho @ projector
-        u = qstate.basis_u().vector()
-        reference = float(np.real(u.conj() @ rho_post @ u))
-        err = max(err, abs(model - reference))
+    eye = np.eye(2)
+    u = qstate.basis_u().vector()
+    for rows in _blocks(_count(1000, scale)):
+        phi, axis = rng.uniform([-10, -math.pi], [10, math.pi], size=(rows, 2)).T
+        states = fringe.PairState.from_rotation(phi).as_state()
+        model = fringe.ensemble_transmission(fringe.measure_factor(states, 1, axis), "u")
+        # density-matrix route: rho' = sum_k P_k rho P_k with P_k = b_k b_k^T (x) 1 for the
+        # columns b_k of R(axis); transmission = <u|rho'|u>
+        rho = states[:, :, None] * states[:, None, :].conj()
+        c, s = np.cos(axis), np.sin(axis)
+        rho_post = 0.0
+        for b in (np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)):
+            projector = np.kron(b[:, :, None] * b[:, None, :], eye)
+            rho_post = rho_post + projector @ rho @ projector
+        reference = np.einsum("i,rij,j->r", u.conj(), rho_post, u).real
+        err = max(err, _worst(model - np.cos(phi) ** 2 / 2.0, model - reference))
     return CheckResult("measurement transmission vs density matrix", err, 1e-12)
 
 

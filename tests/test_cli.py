@@ -371,6 +371,45 @@ class TestSimulate:
         phase = 2 * np.pi * 2e-6 * np.sin(thetas) / 500e-9
         assert np.max(np.abs(values - np.cos(phase / 2) ** 2 / 2)) <= 1e-12
 
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("transmitted", ["u", "v"])
+    def test_sg_stage_in_row_blocks_matches_per_angle_reference(
+        self, tmp_path, monkeypatch, factor, transmitted
+    ):
+        # 2,501 samples are two full 1,000-row blocks and a partial one
+        rows = []
+        stacked = spinfringe.cli.measure_factor
+
+        def recording(state, *args):
+            rows.append(np.shape(state)[0])
+            return stacked(state, *args)
+
+        monkeypatch.setattr(spinfringe.cli, "measure_factor", recording)
+        i0, axis = 2.5, 0.7
+        config = merge_overrides(
+            default_config(),
+            {"sg_stage": {"factor": factor, "axis_angle": axis}, "samples": 2501,
+             "transmitted": transmitted, "i0": i0, "output_path": str(tmp_path / "sg.csv")},
+        )
+        data = np.loadtxt(run_simulate(config), delimiter=",", skiprows=1)
+        layout = config.geometry()
+        reference = [
+            spinfringe.ensemble_transmission(
+                spinfringe.measure_factor(
+                    spinfringe.two_slit_state_at(
+                        layout, spinfringe.ScreenPoint(theta), config.phase_convention
+                    ).as_state(),
+                    factor,
+                    axis,
+                ),
+                transmitted,
+            )
+            for theta in data[:, 0]
+        ]
+        expected = np.clip(i0 * np.array(reference), 0.0, i0)
+        assert np.max(np.abs(data[:, 1] - expected)) <= 4 * np.finfo(float).eps * i0
+        assert rows == [1000, 1000, 501]
+
     def test_csv_precision_at_least_15_digits(self, tmp_path):
         config = merge_overrides(
             default_config(), {"samples": 3, "output_path": str(tmp_path / "digits.csv")}

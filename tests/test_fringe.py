@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinfringe import (
     PHASE_CONVENTIONS,
@@ -68,6 +69,12 @@ class TestPairState:
     def test_unit_circle_enforced(self):
         with pytest.raises(ValueError, match="unit circle"):
             PairState(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("c_u", [math.nan, np.array([1.0, math.nan]), np.array([1.0, 2.0])])
+    def test_unit_circle_check_fails_on_nan_and_on_any_row(self, c_u):
+        with pytest.raises(ValueError, match="unit circle"):
+            PairState(np.zeros(np.shape(c_u)), c_u, np.zeros(np.shape(c_u)))
+        assert PairState(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, -1.0])).c_u.shape == (2,)
 
     def test_as_state_matches_basis_combination(self):
         ps = PairState.from_rotation(1.1)
@@ -353,6 +360,17 @@ class TestMeasureFactor:
         with pytest.raises(ValueError, match="factor"):
             measure_factor(basis_u(), 3, 0.0)
 
+    @pytest.mark.parametrize(
+        "bad_row,message",
+        [([math.nan, 0, 0, 0], "normalized"), ([1, 0, 0, 1], "normalized"), ([0, 0, 0, 0], "zero-norm")],
+    )
+    def test_one_bad_row_rejects_the_stack(self, bad_row, message):
+        stack = np.array([basis_u().vector(), basis_v().vector(), bad_row])
+        with pytest.raises(ValueError, match=message):
+            measure_factor(stack, 1, 0.0)
+        weights, states = measure_factor(stack[:2], 1, 0.0)
+        assert weights.shape == (2, 2) and states.shape == (2, 2, 4)
+
     def test_basis_state_measurement_single_branch(self):
         ensemble = measure_factor(TwoSpinState((1, 0, 0, 0)), 1, 0.0)
         assert len(ensemble.entries) == 1
@@ -397,6 +415,76 @@ class TestEnsembleTransmission:
         mixed = Ensemble(((0.5, basis_u()), (0.5, Spinor(1.0, 0.0))))
         with pytest.raises(ValueError, match="two-spin"):
             ensemble_transmission(mixed, "u")
+
+
+def _bounded(shape, bound):
+    return hnp.arrays(np.float64, shape, elements=st.floats(-bound, bound))
+
+
+class TestStackedForms:
+    """Each row of a stacked measurement or grid state equals the scalar call on that row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=4),
+        factor=st.sampled_from([1, 2]),
+        axis_form=st.sampled_from(["scalar", "full", "trailing"]),
+    )
+    def test_measurement_rows_match_scalar_calls(self, data, shape, factor, axis_form):
+        phi = data.draw(_bounded(shape, 20.0))
+        axis_shape = {"scalar": (), "full": shape, "trailing": shape[-1:]}[axis_form]
+        axis = data.draw(_bounded(axis_shape, math.pi))
+        # product-state rows |++> lose a branch when the axis is 0
+        product = data.draw(hnp.arrays(bool, shape))
+        states = PairState.from_rotation(phi).as_state()
+        states[product] = TwoSpinState((1, 0, 0, 0)).vector()
+
+        weights, branches = measure_factor(states, factor, axis)
+        assert weights.shape == shape + (2,) and branches.shape == shape + (2, 4)
+        transmitted = {c: ensemble_transmission((weights, branches), c) for c in TRANSMITTED_CHOICES}
+        assert all(values.shape == shape for values in transmitted.values())
+        axes = np.broadcast_to(axis, shape)
+        for k in np.ndindex(shape):
+            ensemble = measure_factor(TwoSpinState.from_vector(states[k]), factor, float(axes[k]))
+            kept = weights[k] > 0
+            assert np.all(branches[k][~kept] == 0)
+            assert kept.sum() == len(ensemble.entries)
+            for w, branch, (w_ref, entry) in zip(weights[k][kept], branches[k][kept], ensemble.entries):
+                assert abs(w - w_ref) <= 1e-12
+                assert np.max(np.abs(branch - entry.vector())) <= 1e-12
+            for choice, values in transmitted.items():
+                assert abs(values[k] - ensemble_transmission(ensemble, choice)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=4),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+        separation=st.floats(min_value=5e-7, max_value=5e-6),
+        wavelength=st.floats(min_value=2e-7, max_value=8e-7),
+    )
+    def test_grid_states_equal_screen_point_calls(self, data, shape, convention, separation, wavelength):
+        layout = SlitGeometry.evenly_spaced(2, separation, wavelength, 1.0)
+        thetas = data.draw(_bounded(shape, 1.2))
+        grid = two_slit_state_at(layout, thetas, convention)
+        amplitudes = grid.as_state()
+        assert grid.phi.shape == grid.c_u.shape == grid.c_v.shape == shape
+        assert amplitudes.shape == shape + (4,)
+        for k in np.ndindex(shape):
+            point = two_slit_state_at(layout, ScreenPoint(thetas[k]), convention)
+            assert (grid.phi[k], grid.c_u[k], grid.c_v[k]) == (point.phi, point.c_u, point.c_v)
+            assert np.array_equal(amplitudes[k], point.as_state().vector())
+
+    def test_scalar_calls_keep_their_types(self, two_slit):
+        point = two_slit_state_at(two_slit, ScreenPoint(0.1))
+        rotated = PairState.from_rotation(0.3)
+        for state in (point, rotated):
+            assert all(type(x) is float for x in (state.phi, state.c_u, state.c_v))
+            assert isinstance(state.as_state(), TwoSpinState)
+        ensemble = measure_factor(rotated.as_state(), 2, 0.4)
+        assert isinstance(ensemble, Ensemble)
+        assert type(ensemble_transmission(ensemble, "v")) is float
 
 
 class TestFringeProfile:

@@ -148,6 +148,13 @@ class TestTwoSpinState:
         with pytest.raises(ValueError):
             TwoSpinState((1, 0, 0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(math.inf, 0)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TwoSpinState((bad, 0, 0, 0))
+        with pytest.raises(ValueError, match="finite"):
+            TwoSpinState.from_vector([0, 0, bad, 0])
+
 
 class TestEnsemble:
     def test_valid(self):

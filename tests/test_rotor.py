@@ -214,6 +214,11 @@ class TestStackedForms:
         assert isinstance(c_u, complex) and isinstance(c_v, complex) and isinstance(residual, float)
         assert all(isinstance(x, float) for x in pair_on_u(0.1, 0.4) + pair_on_v(0.1, 0.4))
 
+    def test_state_object_with_array_angles_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(3,\).*state\.vector\(\)"):
+            apply_pair((np.zeros(3), np.zeros(3)), basis_u())
+        assert apply_pair((np.zeros(3), 0.0), basis_u().vector()).shape == (3, 4)
+
     @pytest.mark.parametrize("bad_row", [[0, 1, 0, 0], [math.nan, 0, 0, 0]])
     def test_one_bad_row_rejects_the_stack(self, bad_row):
         stack = np.array([basis_u().vector(), basis_v().vector(), bad_row])

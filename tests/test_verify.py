@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import spinfringe.fringe
 import spinfringe.rotor
 import spinfringe.verify
 from spinfringe.verify import format_report, run_checks
@@ -69,6 +70,23 @@ class TestFaultInjection:
         results = run_checks(scale=0.123)
         failed = [r.name for r in results if not r.passed]
         assert failed == ["u/v transformation law"]
+
+    def test_wrong_measurement_detected(self, monkeypatch):
+        true_measure = spinfringe.fringe.measure_factor
+
+        def skewed(state, factor, axis_angle=0.0):
+            result = true_measure(state, factor, axis_angle)
+            if isinstance(result, spinfringe.fringe.Ensemble):
+                return result
+            weights, states = result
+            weights = weights.copy()
+            weights[0] *= 1 + 1e-6
+            return weights, states
+
+        monkeypatch.setattr(spinfringe.fringe, "measure_factor", skewed)
+        results = run_checks(scale=0.05)
+        failed = [r.name for r in results if not r.passed]
+        assert failed == ["measurement transmission vs density matrix"]
 
     def test_wrong_operator_detected(self, monkeypatch):
         true_op = spinfringe.rotor.apply_pair
