@@ -35,13 +35,14 @@ from .config import (
     resolve_output_path,
 )
 from .fringe import (
+    _BLOCK_ROWS,
     FringeProfile,
     ensemble_transmission,
     intensity_profile,
     measure_factor,
     two_slit_state_at,
 )
-from .geometry import incidence_angles, slit_phases
+from .geometry import incidence_angles, pair_phase, slit_phases
 from .oracle import classical_intensity, independent_intensity
 
 
@@ -63,12 +64,12 @@ def compute_profile(config: SimulationConfig) -> FringeProfile:
             i0=config.i0,
         )
     stage = config.sg_stage
-    block = verify_mod._BLOCK_ROWS  # row blocks bound the stacked temporaries, as in verify
     values = np.empty(grid.shape)
-    for start in range(0, grid.size, block):
-        states = two_slit_state_at(layout, grid[start:start + block], config.phase_convention).as_state()
+    for start in range(0, grid.size, _BLOCK_ROWS):  # row blocks bound the stacked temporaries
+        part = grid[start:start + _BLOCK_ROWS]
+        states = two_slit_state_at(layout, part, config.phase_convention).as_state()
         ensemble = measure_factor(states, stage.factor, stage.axis_angle)
-        values[start:start + block] = ensemble_transmission(ensemble, config.transmitted)
+        values[start:start + _BLOCK_ROWS] = ensemble_transmission(ensemble, config.transmitted)
     return FringeProfile(grid, np.clip(config.i0 * values, 0.0, config.i0), config.i0)
 
 
@@ -137,14 +138,10 @@ def run_geometry_dump(config: SimulationConfig) -> Path:
     layout = config.geometry()
     grid = config.theta_grid()
     n = layout.n_slits
-    first, second = np.triu_indices(n, 1)
-    phases = slit_phases(layout, grid)
-    header = (
-        ["theta"]
-        + [f"alpha_{i}" for i in range(1, n + 1)]
-        + [f"phi_{i + 1}_{j + 1}" for i, j in zip(first, second)]
-    )
-    table = [grid, *incidence_angles(layout, grid).T, *(phases[:, second] - phases[:, first]).T]
+    first, second = (index + 1 for index in np.triu_indices(n, 1))
+    header = ["theta"] + [f"alpha_{i}" for i in range(1, n + 1)]
+    header += [f"phi_{i}_{j}" for i, j in zip(first, second)]
+    table = [grid, *incidence_angles(layout, grid).T, *pair_phase(layout, grid, first, second).T]
     return _write_table(config, header, table)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, slit_phases
+from .geometry import ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, pair_phase
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import rotation_matrix
 
@@ -35,6 +35,9 @@ TRANSMITTED_CHOICES = ("u", "v")
 DETECT_STATE_TOL = 1e-10
 
 _WEIGHT_CUTOFF = 1e-14
+
+#: Most samples a stacked state-algebra pass evaluates at once; bounds its temporaries.
+_BLOCK_ROWS = 1000
 
 
 class GeometryError(ValueError):
@@ -63,6 +66,11 @@ def _check_detection(detection, n: int) -> None:
             raise IndexError(f"detection slit index {index} out of range 1..{n}")
 
 
+def _blocks(count: int) -> list[int]:
+    """Row counts of the consecutive blocks of at most ``_BLOCK_ROWS`` that cover ``count`` samples."""
+    return [min(_BLOCK_ROWS, count - start) for start in range(0, count, _BLOCK_ROWS)]
+
+
 def _theta_grid(thetas) -> np.ndarray:
     """``thetas`` as a non-empty, strictly increasing 1-D grid of screen angles."""
     grid = _checked_thetas(thetas)
@@ -73,7 +81,7 @@ def _theta_grid(thetas) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairState:
     """Pair state cos(phi) u - sin(phi) v at one screen point, or at each of a grid.
 
@@ -81,7 +89,8 @@ class PairState:
     ``c_u`` and ``c_v`` are its real u/v coordinates, with
     c_u^2 + c_v^2 = 1.  c_u is the amplitude usually called rho: the
     transmitted state registers with probability rho^2 = c_u^2.  The fields
-    are floats for one point and arrays of the grid's shape for a grid.
+    are floats for one point and read-only arrays of the grid's shape for a
+    grid; equality is identity, as for ``FringeProfile``.
     """
 
     phi: float | np.ndarray
@@ -96,6 +105,10 @@ class PairState:
                 f"pair-state coordinates must lie on the unit circle, got "
                 f"c_u^2 + c_v^2 = {total[~on_circle][0]}"
             )
+        for name in ("phi", "c_u", "c_v"):
+            if isinstance(getattr(self, name), np.ndarray):
+                object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+                getattr(self, name).setflags(write=False)
 
     @classmethod
     def from_rotation(cls, phi) -> "PairState":
@@ -167,7 +180,7 @@ def two_slit_state_at(
 ) -> PairState:
     """Pair state induced at a screen point by a two-slit layout.
 
-    The u/v rotation angle is the optical pair phase scaled by the
+    The u/v rotation angle is ``pair_phase`` of slits 1 and 2 scaled by the
     convention (full phase for "paper", half for "half").  At theta = 0 the
     state is pure u.  ``point`` is a ScreenPoint or an angle array, as in
     ``slit_phases``; an array gives a PairState with fields of its shape.
@@ -179,8 +192,7 @@ def two_slit_state_at(
     """
     if geometry.n_slits != 2:
         raise GeometryError(f"two-slit state needs exactly 2 slits, got {geometry.n_slits}")
-    phases = slit_phases(geometry, point)
-    return PairState.from_rotation(_rotation_scale(convention) * (phases[..., 1] - phases[..., 0]))
+    return PairState.from_rotation(_rotation_scale(convention) * pair_phase(geometry, point, 1, 2))
 
 
 def transmission_probability(state: PairState, choice: str = "u") -> float:
@@ -228,7 +240,9 @@ def intensity_profile(
     set breaks the pair correlation: the particles from the N slits become
     independent and the profile is flat at i0/N.
 
-    Values are clipped into [0, i0] to absorb last-bit rounding.
+    Pairs with exactly equal separations share their phase, so the sum runs
+    once per distinct baseline, weighted by its pair count.  Values are
+    clipped into [0, i0] to absorb last-bit rounding.
     """
     grid = _theta_grid(thetas)
     _check_choice(choice)
@@ -240,11 +254,17 @@ def intensity_profile(
     if detection:
         values = np.full(grid.shape, 1.0 / n)
     else:
-        doubled = 2.0 * scale * slit_phases(geometry, grid)
-        acc = np.zeros(grid.shape)
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc += np.cos(doubled[:, j] - doubled[:, i])
+        i, j = np.nonzero(np.less.outer(range(n), range(n)))  # np.triu_indices(n, 1), but cheaper
+        pos = np.asarray(geometry.slit_positions)
+        _, shared, counts = np.unique(pos[j] - pos[i], return_index=True, return_counts=True)
+        i, j = i[shared] + 1, j[shared] + 1  # one 1-based pair per distinct baseline
+        acc = np.empty(grid.shape)
+        rows = max(1, 2**18 // counts.size)  # at most 2^18 (angle, baseline) cells at once
+        for start in range(0, grid.size, rows):
+            terms = pair_phase(geometry, grid[start:start + rows], i, j)
+            np.cos(np.multiply(terms, 2.0 * scale, out=terms), out=terms)
+            terms *= counts
+            terms.sum(axis=-1, out=acc[start:start + rows])
         values = (n + 2.0 * acc) / n**2
         if choice == "v":
             values = 1.0 - values
@@ -310,10 +330,11 @@ def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: fl
     spec = "...ik,...jk,...jl->...kil" if factor == 1 else "...lk,...jk,...ij->...kil"
     branches = np.einsum(spec, basis, basis, grid)
     branches = branches.reshape(branches.shape[:-2] + (4,))
-    weights = np.sum(np.abs(branches) ** 2, axis=-1)
+    raw = np.sum(np.abs(branches) ** 2, axis=-1)
+    weights = raw / norm2[..., None]  # so the weights sum to 1 for an input norm^2 off by up to 1e-9
     kept = weights > _WEIGHT_CUTOFF
     weights = np.where(kept, weights, 0.0)
-    states = branches / np.sqrt(np.where(kept, weights, 1.0))[..., None] * kept[..., None]
+    states = branches / np.sqrt(np.where(kept, raw, 1.0))[..., None] * kept[..., None]
     if not single:
         return weights, states
     entries = ((float(w), TwoSpinState.from_vector(s)) for w, s in zip(weights, states) if w > 0.0)

@@ -1,16 +1,17 @@
 """Slit layout, screen parameterization, incidence angles, and pair phases.
 
 Screen points are parameterized by the angle ``theta`` from the central
-normal.  ``incidence_angles`` and ``slit_phases`` take either a
-``ScreenPoint``, giving one value per slit as an (N,) array, or a 1-D grid
-of S angles, giving an (S, N) table whose row k is the value at
-``ScreenPoint(thetas[k])``.  Slit indices throughout this module are
-1-based, matching the aperture labels a_1 .. a_N used in output columns.
+normal.  ``incidence_angles``, ``slit_phases`` and ``pair_phase`` take a
+``ScreenPoint`` or, in its place, a 1-D grid of S angles, which adds a
+leading axis whose row k is the value at ``ScreenPoint(thetas[k])``.  Slit
+indices throughout this module are 1-based, matching the aperture labels
+a_1 .. a_N used in output columns.
 
 Two distinct angle-like quantities are computed per aperture pair:
 
-* ``pair_phase`` -- the optical path phase 2*pi*(a_j - a_i)*sin(theta)/lambda,
-  which drives all intensity predictions, and
+* ``pair_phase`` -- the optical path phase k*(a_j - a_i), the wavenumber
+  k = 2*pi*sin(theta)/lambda times the slit separation, which drives all
+  intensity predictions, and
 * ``subtended_angle`` -- the geometric angle between the two rays meeting at
   the screen point, exposed as a diagnostic.  The two agree only in the
   far-field, small-angle regime.
@@ -105,18 +106,26 @@ def _checked_thetas(thetas) -> np.ndarray:
 
 
 def _screen_angles(point) -> float | np.ndarray:
-    """theta of a ScreenPoint, or an angle grid with a trailing axis to broadcast over slits."""
-    if isinstance(point, ScreenPoint):
-        return point.theta
-    return _checked_thetas(point)[..., None]
+    """theta of a ScreenPoint, or a checked angle grid."""
+    return point.theta if isinstance(point, ScreenPoint) else _checked_thetas(point)
 
 
-def _check_pair(geometry: SlitGeometry, i: int, j: int, quantity: str) -> None:
-    for name, index in (("i", i), ("j", j)):
-        if not 1 <= index <= geometry.n_slits:
-            raise IndexError(f"slit index {name}={index} out of range 1..{geometry.n_slits}")
-    if i == j:
-        raise IndexError(f"{quantity} needs two distinct slits, got i=j={i}")
+def _wavenumber(geometry: SlitGeometry, point) -> float | np.ndarray:
+    """Transverse wavenumber k = 2*pi*sin(theta)/lambda at the point or each grid angle."""
+    return 2.0 * math.pi * np.sin(_screen_angles(point)) / geometry.wavelength
+
+
+def _pair_indices(geometry: SlitGeometry, i, j, quantity: str) -> tuple[np.ndarray, np.ndarray]:
+    """0-based index arrays of the 1-based slit indices; raises IndexError naming the first bad one."""
+    first, second = np.broadcast_arrays(i, j)
+    for name, index in (("i", first), ("j", second)):
+        bad = (index < 1) | (index > geometry.n_slits)
+        if bad.any():
+            raise IndexError(f"slit index {name}={index[bad][0]} out of range 1..{geometry.n_slits}")
+    same = first == second
+    if same.any():
+        raise IndexError(f"{quantity} needs two distinct slits, got i=j={first[same][0]}")
+    return first - 1, second - 1
 
 
 def incidence_angles(geometry: SlitGeometry, point) -> np.ndarray:
@@ -128,29 +137,31 @@ def incidence_angles(geometry: SlitGeometry, point) -> np.ndarray:
     """
     x = geometry.screen_distance * np.tan(_screen_angles(point))
     pos = np.asarray(geometry.slit_positions)
-    return np.arctan((x - pos) / geometry.screen_distance)
+    return np.arctan(np.subtract.outer(x, pos) / geometry.screen_distance)
 
 
 def slit_phases(geometry: SlitGeometry, point) -> np.ndarray:
-    """Optical phase 2*pi*a_k*sin(theta)/lambda accumulated by each slit's ray.
+    """Optical phase k*a_k = 2*pi*a_k*sin(theta)/lambda accumulated by each slit's ray.
 
-    Only phase differences are physical; ``pair_phase`` is taken from this
-    table so that phi_ij = -phi_ji holds exactly.
+    Only differences are physical; ``pair_phase`` takes them from separations.
     """
-    k = 2.0 * math.pi * np.sin(_screen_angles(point)) / geometry.wavelength
-    return k * np.asarray(geometry.slit_positions)
+    return np.multiply.outer(_wavenumber(geometry, point), np.asarray(geometry.slit_positions))
 
 
-def pair_phase(geometry: SlitGeometry, point: ScreenPoint, i: int, j: int) -> float:
-    """Optical phase difference phi_ij = 2*pi*(a_j - a_i)*sin(theta)/lambda.
+def pair_phase(geometry: SlitGeometry, point, i, j) -> float | np.ndarray:
+    """Optical phase difference phi_ij = k*(a_j - a_i) = 2*pi*(a_j - a_i)*sin(theta)/lambda.
 
-    Antisymmetric exactly (phi_ij == -phi_ji); additive over a common middle
-    slit (phi_ik = phi_ij + phi_jk) up to last-bit rounding.  Strictly
-    monotone in sin(theta) for any fixed pair.
+    Taken from the separation, so phi_ij == -phi_ji exactly (k*(-x) = -(k*x)
+    in IEEE arithmetic) and a shift that keeps every separation exact leaves
+    it unchanged; additive (phi_ik = phi_ij + phi_jk) up to last-bit rounding
+    and strictly monotone in sin(theta).  ``i``, ``j`` are 1-based indices or
+    index arrays: the result has shape grid + index shape (a float for a
+    ScreenPoint and scalars); a bad index or i == j raises IndexError naming it.
     """
-    _check_pair(geometry, i, j, "pair phase")
-    phases = slit_phases(geometry, point)
-    return float(phases[j - 1] - phases[i - 1])
+    first, second = _pair_indices(geometry, i, j, "pair phase")
+    pos = np.asarray(geometry.slit_positions)
+    phases = np.multiply.outer(_wavenumber(geometry, point), pos[second] - pos[first])
+    return phases if phases.ndim else float(phases)
 
 
 def subtended_angle(geometry: SlitGeometry, point: ScreenPoint, i: int, j: int) -> float:
@@ -159,6 +170,6 @@ def subtended_angle(geometry: SlitGeometry, point: ScreenPoint, i: int, j: int) 
     Diagnostic companion to ``pair_phase``: it tends to 0 as the screen
     recedes while the optical phase stays fixed.
     """
-    _check_pair(geometry, i, j, "subtended angle")
+    first, second = _pair_indices(geometry, i, j, "subtended angle")
     angles = incidence_angles(geometry, point)
-    return float(angles[i - 1] - angles[j - 1])
+    return float(angles[first] - angles[second])

@@ -22,7 +22,6 @@ TwoSpinState, broadcasting against the angles and giving an array back.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -54,14 +53,11 @@ def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
     Orthogonal with determinant 1; array angles give shape
     ``angle.shape + (2, 2)``.  Raises ValueError if any angle is non-finite.
     """
-    # a float is one call per Stern-Gerlach sample; math costs a third of numpy there
-    scalar = isinstance(angle, float)
-    a = angle if scalar else np.asarray(angle, dtype=float)
-    if not (math.isfinite(a) if scalar else np.isfinite(a).all()):
+    a = np.asarray(angle, dtype=float)
+    if not np.isfinite(a).all():
         raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    c, s = (math.cos(a), math.sin(a)) if scalar else (np.cos(a), np.sin(a))
-    matrix = np.array([[c, s], [-s, c]])
-    return matrix if scalar else matrix.transpose(*range(2, a.ndim + 2), 0, 1)
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, s], [-s, c]]).transpose(*range(2, a.ndim + 2), 0, 1)
 
 
 def apply_pair(pair: PairRotation | tuple, state: qstate.TwoSpinState | np.ndarray):

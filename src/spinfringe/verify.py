@@ -9,12 +9,14 @@ honest under fault-injection (replace an operation and the battery fails).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fringe, geometry, oracle, qstate, rotor
+from .fringe import _BLOCK_ROWS, _blocks  # _BLOCK_ROWS: the checks' block size, bound here too
 
 DEFAULT_SEED = 20240811
 
@@ -30,17 +32,8 @@ class CheckResult:
         return self.max_error <= self.tolerance
 
 
-#: Most samples a check or the CLI's SG stage evaluates at once; bounds the stacked temporaries.
-_BLOCK_ROWS = 1000
-
-
 def _count(n: int, scale: float) -> int:
     return max(10, int(round(n * scale)))
-
-
-def _blocks(count: int) -> list[int]:
-    """Row counts of the consecutive blocks that cover ``count`` samples."""
-    return [min(_BLOCK_ROWS, count - start) for start in range(0, count, _BLOCK_ROWS)]
 
 
 def _worst(*errors) -> float:
@@ -52,6 +45,11 @@ def _uv_states(c_u, c_v) -> np.ndarray:
     """Amplitude rows c_u * u + c_v * v, one per entry of the coordinate arrays."""
     u, v = qstate.basis_u().vector(), qstate.basis_v().vector()
     return np.multiply.outer(c_u, u) + np.multiply.outer(c_v, v)
+
+
+def _index_tuples(n: int, size: int) -> np.ndarray:
+    """Every increasing tuple of ``size`` 1-based slit indices out of n, as ``size`` index rows."""
+    return np.array(list(itertools.combinations(range(1, n + 1), size)), dtype=int).reshape(-1, size).T
 
 
 def _random_geometry(rng) -> geometry.SlitGeometry:
@@ -312,16 +310,9 @@ def check_phase_antisymmetry(rng, scale: float) -> CheckResult:
     for _ in range(_count(300, scale)):
         layout = _random_geometry(rng)
         point = geometry.ScreenPoint(rng.uniform(-1.2, 1.2))
-        n = layout.n_slits
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                err = max(
-                    err,
-                    abs(
-                        geometry.pair_phase(layout, point, i, j)
-                        + geometry.pair_phase(layout, point, j, i)
-                    ),
-                )
+        i, j = _index_tuples(layout.n_slits, 2)
+        sums = geometry.pair_phase(layout, point, i, j) + geometry.pair_phase(layout, point, j, i)
+        err = max(err, _worst(sums))
     return CheckResult("pair phase antisymmetry", err, 0.0)
 
 
@@ -331,17 +322,11 @@ def check_phase_additivity(rng, scale: float) -> CheckResult:
     for _ in range(_count(300, scale)):
         layout = _random_geometry(rng)
         point = geometry.ScreenPoint(rng.uniform(-1.2, 1.2))
-        n = layout.n_slits
-        phases = geometry.slit_phases(layout, point)
-        bound = max(bound, float(np.max(np.abs(phases))))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 1):
-                    lhs = geometry.pair_phase(layout, point, i, k)
-                    rhs = geometry.pair_phase(layout, point, i, j) + geometry.pair_phase(
-                        layout, point, j, k
-                    )
-                    err = max(err, abs(lhs - rhs))
+        bound = max(bound, float(np.max(np.abs(geometry.slit_phases(layout, point)))))
+        i, j, k = _index_tuples(layout.n_slits, 3)
+        lhs = geometry.pair_phase(layout, point, i, k)
+        rhs = geometry.pair_phase(layout, point, i, j) + geometry.pair_phase(layout, point, j, k)
+        err = max(err, float(np.max(np.abs(lhs - rhs), initial=0.0)))
     # exact in real arithmetic; float64 leaves a few last-bit units
     tolerance = 8.0 * np.finfo(float).eps * max(bound, 1.0)
     return CheckResult("pair phase additivity", err, tolerance)

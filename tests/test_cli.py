@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -491,6 +492,34 @@ class TestGeometryDump:
         point = ScreenPoint(row[0])
         assert np.allclose(row[1:4], incidence_angles(layout, point), atol=1e-15)
         assert row[4] == pytest.approx(pair_phase(layout, point, 1, 2), abs=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        positions=st.lists(st.floats(-1e-4, 1e-4), min_size=2, max_size=5, unique=True),
+        samples=st.integers(2, 9),
+        output_format=st.sampled_from(["csv", "json"]),
+    )
+    def test_pair_phase_columns_are_pair_phase(self, positions, samples, output_format):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = merge_overrides(
+                default_config(),
+                {"slit_positions": sorted(positions), "samples": samples, "output_format": output_format,
+                 "output_path": os.path.join(tmp, "geo." + output_format)},
+            )
+            text = run_geometry_dump(config).read_text()
+        if output_format == "csv":
+            lines = text.splitlines()
+            header, rows = lines[0].split(","), [[float(x) for x in line.split(",")] for line in lines[1:]]
+        else:
+            document = json.loads(text)
+            header, rows = document["columns"], document["rows"]
+        table = dict(zip(header, np.array(rows).T))
+        layout, grid = config.geometry(), config.theta_grid()
+        n = layout.n_slits
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        assert [name for name in header if name.startswith("phi_")] == [f"phi_{i}_{j}" for i, j in pairs]
+        for i, j in pairs:
+            assert np.array_equal(table[f"phi_{i}_{j}"], spinfringe.pair_phase(layout, grid, i, j))
 
 
 class TestMainEntry:

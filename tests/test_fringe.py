@@ -81,6 +81,17 @@ class TestPairState:
         expected = math.cos(1.1) * basis_u().vector() - math.sin(1.1) * basis_v().vector()
         assert np.allclose(ps.as_state().vector(), expected, atol=1e-15)
 
+    def test_grid_states_compare_by_identity_and_are_read_only(self):
+        a = PairState.from_rotation(np.array([0.1, 0.2]))
+        b = PairState.from_rotation(np.array([0.1, 0.2]))
+        assert a == a and a != b  # no element-wise comparison, so no "truth value ... ambiguous"
+        for field in (a.phi, a.c_u, a.c_v):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0.0
+        c_u = np.array([1.0, 0.0])
+        PairState(np.zeros(2), c_u, np.array([0.0, -1.0]))
+        c_u[0] = 1.0  # the caller's array is copied, not frozen
+
 
 class TestTwoSlitStateAt:
     def test_pure_u_at_center(self, two_slit):
@@ -271,6 +282,90 @@ class TestMultiSlitIntensity:
                     assert multi_slit_intensity(g, ScreenPoint(theta), convention) == value
 
 
+def _lattice_layouts(max_slits=6):
+    """Sorted distinct slit positions on a 2^-20 m lattice, within about 0.2 mm of 0."""
+    return st.lists(st.integers(-200, 200), min_size=2, max_size=max_slits, unique=True).map(
+        lambda steps: tuple(sorted(k * 2.0**-20 for k in steps))
+    )
+
+
+def _irregular_layouts(max_slits=8):
+    return st.lists(
+        st.floats(-1e-4, 1e-4, allow_subnormal=False), min_size=2, max_size=max_slits, unique=True
+    ).map(lambda positions: tuple(sorted(positions)))
+
+
+_WAVELENGTHS = st.floats(min_value=2e-7, max_value=8e-7)
+
+
+class TestPairPhaseInvariances:
+    """The profile depends on the layout only through its separations and on theta through sin."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        positions=_lattice_layouts(),
+        shift=st.integers(-100, 100),
+        wavelength=_WAVELENGTHS,
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+    )
+    def test_translation_by_exact_shift_is_bit_identical(self, positions, shift, wavelength, convention):
+        # lattice positions plus whole metres are exact in float64, so every separation is too
+        grid = np.linspace(-1.2, 1.2, 61)
+        shifted = tuple(a + shift for a in positions)
+        assert all(b - a == d - c for a, b, c, d in zip(positions, positions[1:], shifted, shifted[1:]))
+        before = intensity_profile(SlitGeometry(positions, wavelength, 1.0), grid, convention, i0=2.0)
+        after = intensity_profile(SlitGeometry(shifted, wavelength, 1.0), grid, convention, i0=2.0)
+        assert np.array_equal(before.intensities, after.intensities)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        positions=_irregular_layouts(),
+        wavelength=_WAVELENGTHS,
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+        half_width=st.floats(min_value=0.01, max_value=1.5),
+        i0=st.floats(min_value=0.5, max_value=3.0),
+    )
+    def test_mirror_symmetry(self, positions, wavelength, convention, half_width, i0):
+        layout = SlitGeometry(positions, wavelength, 1.0)
+        mirrored = SlitGeometry(tuple(sorted(-a for a in positions)), wavelength, 1.0)
+        grid = np.linspace(-half_width, half_width, 41)
+        profile = intensity_profile(layout, grid, convention, i0=i0).intensities
+        assert np.max(np.abs(intensity_profile(mirrored, grid, convention, i0=i0).intensities - profile)) <= 1e-12 * i0
+        # theta -> -theta on the symmetric grid reverses the profile
+        assert np.max(np.abs(intensity_profile(layout, -grid[::-1], convention, i0=i0).intensities - profile[::-1])) <= 1e-12 * i0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.one_of(
+            st.builds(
+                SlitGeometry.evenly_spaced,
+                st.integers(2, 12),
+                st.floats(min_value=5e-7, max_value=2e-5),
+                _WAVELENGTHS,
+                st.just(1.0),
+            ),
+            st.builds(SlitGeometry, _irregular_layouts(), _WAVELENGTHS, st.just(1.0)),
+        ),
+        thetas=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=40, unique=True),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+        choice=st.sampled_from(TRANSMITTED_CHOICES),
+        i0=st.floats(min_value=0.5, max_value=3.0),
+    )
+    def test_grouped_kernel_matches_per_pair_sum(self, layout, thetas, convention, choice, i0):
+        # evenly spaced layouts share baselines, irregular ones mostly do not
+        grid = np.sort(np.asarray(thetas))
+        scale = 1.0 if convention == "paper" else 0.5
+        n = layout.n_slits
+        acc = np.zeros(grid.shape)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                acc += np.cos(2.0 * scale * pair_phase(layout, grid, i, j))
+        values = (n + 2.0 * acc) / n**2
+        expected = np.clip(i0 * (values if choice == "u" else 1.0 - values), 0.0, i0)
+        profile = intensity_profile(layout, grid, convention, choice, i0=i0)
+        assert np.max(np.abs(profile.intensities - expected)) <= 1e-12 * i0
+
+
 class TestDetectAtSlit:
     def test_collapse_at_each_aperture(self):
         for aperture in (1, 2):
@@ -370,6 +465,20 @@ class TestMeasureFactor:
             measure_factor(stack, 1, 0.0)
         weights, states = measure_factor(stack[:2], 1, 0.0)
         assert weights.shape == (2, 2) and states.shape == (2, 2, 4)
+
+    def test_norm_within_input_tolerance_measured_by_both_forms(self):
+        # norm^2 = 1 + 1e-10 passes the 1e-9 input check; the weights must still sum to 1
+        vector = math.sqrt(1.0 + 1e-10) * PairState.from_rotation(0.3).as_state().vector()
+        state = TwoSpinState.from_vector(vector)
+        assert abs(state.norm2() - 1.0 - 1e-10) <= 1e-15
+        for factor in (1, 2):
+            ensemble = measure_factor(state, factor, 0.4)
+            weights, branches = measure_factor(vector[None, :], factor, 0.4)
+            assert abs(sum(w for w, _ in ensemble.entries) - 1.0) <= 1e-12
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            for w, branch, (w_ref, entry) in zip(weights[0], branches[0], ensemble.entries):
+                assert abs(w - w_ref) <= 1e-12
+                assert np.max(np.abs(branch - entry.vector())) <= 1e-12
 
     def test_basis_state_measurement_single_branch(self):
         ensemble = measure_factor(TwoSpinState((1, 0, 0, 0)), 1, 0.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinfringe import (
     ScreenPoint,
@@ -153,6 +155,60 @@ class TestPairPhase:
             pair_phase(two_slit, p, 0, 1)
         with pytest.raises(IndexError):
             pair_phase(two_slit, p, 2, 2)
+
+
+@st.composite
+def _layout_grid_and_pairs(draw):
+    positions = draw(st.lists(st.floats(-1e-4, 1e-4), min_size=2, max_size=6, unique=True))
+    layout = SlitGeometry(tuple(sorted(positions)), draw(st.floats(2e-7, 8e-7)), 1.0)
+    thetas = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=8)))
+    n = layout.n_slits
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=10))
+    i, j = (np.array(column) for column in zip(*pairs))
+    return layout, thetas, i, j
+
+
+class TestPairPhaseArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(_layout_grid_and_pairs())
+    def test_grid_and_index_arrays_equal_scalar_calls(self, drawn):
+        layout, thetas, i, j = drawn
+        table = pair_phase(layout, thetas, i, j)
+        assert table.shape == thetas.shape + i.shape
+        for s, theta in enumerate(thetas):
+            point = ScreenPoint(theta)
+            row = pair_phase(layout, point, i, j)
+            assert row.shape == i.shape
+            for p in range(i.size):
+                scalar = pair_phase(layout, point, int(i[p]), int(j[p]))
+                assert type(scalar) is float
+                assert table[s, p] == row[p] == scalar
+            assert np.array_equal(pair_phase(layout, thetas, int(i[0]), int(j[0])), table[:, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        size=st.integers(1, 6),
+        where=st.integers(0, 5),
+        kind=st.sampled_from(["low", "high", "equal"]),
+        side=st.sampled_from(["i", "j"]),
+    )
+    def test_bad_index_array_names_the_index(self, n, size, where, kind, side):
+        layout = SlitGeometry.evenly_spaced(n, 2e-6, 500e-9, 1.0)
+        i, j = np.ones(size, dtype=int), np.full(size, n)
+        where %= size
+        if kind == "equal":
+            i[where] = j[where] = 2
+            message = "needs two distinct slits, got i=j=2"
+        else:
+            bad = 0 if kind == "low" else n + 1
+            (i if side == "i" else j)[where] = bad
+            message = f"slit index {side}={bad} out of range 1..{n}"
+        with pytest.raises(IndexError, match=message):
+            pair_phase(layout, np.array([0.1, 0.2]), i, j)
+        with pytest.raises(IndexError, match=message):
+            pair_phase(layout, ScreenPoint(0.1), i, j)
 
 
 class TestSlitPhases:
