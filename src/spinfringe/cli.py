@@ -48,6 +48,8 @@ from .oracle import classical_intensity, independent_intensity
 
 #: Fixed 17-significant-digit decimal form; deterministic and lossless.
 _FMT = "%.16e"
+#: What joins consecutive rows of a table, and so consecutive row blocks, per output format.
+_ROW_SEPARATOR = {"csv": "\n", "json": ",\n"}
 
 
 def compute_profile(config: SimulationConfig) -> FringeProfile:
@@ -74,33 +76,74 @@ def compute_profile(config: SimulationConfig) -> FringeProfile:
 
 
 def render_profile(columns, column_arrays, output_format: str, **scalars) -> str:
-    """Render equal-length 1-D columns as the CSV or JSON text of an output file.
+    """Render one row block of equal-length 1-D float columns as output-file text.
 
-    CSV is a header line of ``columns`` and one line per row, every number in
-    ``_FMT``.  JSON with ``scalars`` holds them beside a ``samples`` list of
-    per-row objects keyed by column name; JSON without scalars is the bare
-    table ``{"columns": [...], "rows": [[...], ...]}``.
+    Rows are joined by ``_ROW_SEPARATOR[output_format]``, with none before the
+    first or after the last, so consecutive blocks join by it too.  A CSV row
+    is one line, every number in ``_FMT``.  A JSON row is indented as
+    ``json.dumps(document, sort_keys=True, indent=2)`` places it: with
+    ``scalars``, an object keyed by column name (the ``samples`` of the
+    document); without, an array (the ``rows`` of ``{"columns", "rows"}``).
+    JSON numbers are ``%r``, the ``float.__repr__`` that ``json`` writes, so
+    the text is byte-identical to ``json.dumps``.  A non-finite value, which
+    ``json`` would spell otherwise, raises ``ValueError`` in either format.
     """
-    rows = zip(*(column.tolist() for column in column_arrays))
     if output_format == "csv":
-        row_format = ",".join([_FMT] * len(columns))
-        return "\n".join([",".join(columns), *(row_format % row for row in rows)]) + "\n"
-    if scalars:
-        document = {**scalars, "samples": [dict(zip(columns, row)) for row in rows]}
+        record = ",".join([_FMT] * len(columns))
+    elif scalars:
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        fields = ",\n".join(f"      {json.dumps(columns[k]).replace('%', '%%')}: %r" for k in order)
+        record = f"    {{\n{fields}\n    }}"
+        column_arrays = [column_arrays[k] for k in order]
     else:
-        document = {"columns": columns, "rows": [list(row) for row in rows]}
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+        record = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
+    block = np.column_stack(column_arrays)
+    if not np.isfinite(block).all():
+        raise ValueError("output tables hold finite numbers only")
+    return _ROW_SEPARATOR[output_format].join([record] * len(block)) % tuple(block.ravel().tolist())
+
+
+def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:
+    """The text before and after a table's rows: the CSV header, or the JSON opening and closing.
+
+    JSON ``scalars`` are numbers or strings; those whose keys sort before the
+    table's key (``samples``, or ``rows`` beside ``columns``) open the
+    document, the rest close it, as ``json.dumps(sort_keys=True)`` orders them.
+    """
+    if output_format == "csv":
+        return ",".join(columns) + "\n", "\n"
+    if scalars:
+        table_key, fields = "samples", {key: json.dumps(value) for key, value in scalars.items()}
+    else:
+        names = ",\n".join(f"    {json.dumps(name)}" for name in columns)
+        table_key, fields = "rows", {"columns": f"[\n{names}\n  ]"}
+    fields = sorted(fields.items())
+    head = "".join(f"  {json.dumps(key)}: {text},\n" for key, text in fields if key < table_key)
+    tail = "".join(f",\n  {json.dumps(key)}: {text}" for key, text in fields if key > table_key)
+    return f'{{\n{head}  "{table_key}": [\n', f"\n  ]{tail}\n}}\n"
 
 
 def _write_table(config: SimulationConfig, columns, column_arrays, **scalars) -> Path:
-    """Render a table in the config's output format; write it atomically (temp file + rename)."""
-    text = render_profile(columns, column_arrays, config.output_format, **scalars)
+    """Write a table in the config's output format atomically (temp file + rename).
+
+    The head, one ``render_profile`` chunk per block of ``_BLOCK_ROWS`` rows,
+    and the tail are written into the temp file in turn, so the whole text is
+    never held at once.  Any failure removes the temp file and leaves a file
+    already at the path as it was.
+    """
+    head, tail = _frame(columns, config.output_format, scalars)
     path = resolve_output_path(config)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.write(head)
+            for start in range(0, len(column_arrays[0]), _BLOCK_ROWS):
+                if start:
+                    handle.write(_ROW_SEPARATOR[config.output_format])
+                block = [column[start:start + _BLOCK_ROWS] for column in column_arrays]
+                handle.write(render_profile(columns, block, config.output_format, **scalars))
+            handle.write(tail)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -124,7 +167,11 @@ def run_compare(config: SimulationConfig) -> tuple[Path, float]:
     config.validate()
     profile = compute_profile(config)
     oracle = independent_intensity if config.detection else classical_intensity
-    reference = config.i0 * oracle(slit_phases(config.geometry(), profile.thetas))
+    layout, thetas = config.geometry(), profile.thetas
+    # row blocks: no (S, N) phase table; the oracle reduces each row on its own
+    blocks = [oracle(slit_phases(layout, thetas[start:start + _BLOCK_ROWS]))
+              for start in range(0, thetas.size, _BLOCK_ROWS)]
+    reference = config.i0 * np.concatenate(blocks)
     diffs = np.abs(profile.intensities - reference)
     max_abs_diff = float(diffs.max())
     header = ["theta", "intensity", "oracle", "abs_diff"]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinfringe
-from spinfringe import ConfigError, SimulationConfig, SternGerlachStage, default_config
-from spinfringe.cli import _config_from_args, build_parser, main, run_compare, run_geometry_dump, run_simulate
+from spinfringe import ConfigError, SimulationConfig, SternGerlachStage, cli, default_config
+from spinfringe.cli import (
+    _config_from_args,
+    _write_table,
+    build_parser,
+    main,
+    run_compare,
+    run_geometry_dump,
+    run_simulate,
+)
 from spinfringe.config import MAX_SAMPLES, MAX_SLITS, config_from_dict, load_config, merge_overrides, resolve_output_path
 
 
@@ -475,6 +484,18 @@ class TestCompare:
         _, max_abs_diff = run_compare(config)
         assert max_abs_diff <= 1e-12
 
+    def test_oracle_in_row_blocks_equals_one_table(self, tmp_path):
+        positions = np.sort(np.random.default_rng(5).uniform(-6e-5, 6e-5, 64))
+        config = merge_overrides(
+            default_config(),
+            {"slit_positions": positions.tolist(), "samples": 2001, "output_format": "json",
+             "output_path": str(tmp_path / "grating.json")},
+        )
+        path, _ = run_compare(config)
+        oracle = [row["oracle"] for row in json.loads(path.read_text())["samples"]]
+        whole = spinfringe.classical_intensity(spinfringe.slit_phases(config.geometry(), config.theta_grid()))
+        assert np.array_equal(oracle, config.i0 * whole)
+
 
 class TestGeometryDump:
     def test_columns_and_values(self, tmp_path):
@@ -520,6 +541,105 @@ class TestGeometryDump:
         assert [name for name in header if name.startswith("phi_")] == [f"phi_{i}_{j}" for i, j in pairs]
         for i, j in pairs:
             assert np.array_equal(table[f"phi_{i}_{j}"], spinfringe.pair_phase(layout, grid, i, j))
+
+
+#: Floats whose shortest repr has an exponent, a sign or all 17 digits.
+_EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, 1.7976931348623157e308)
+
+
+def _one_shot_text(columns, arrays, output_format, scalars):
+    """The whole table rendered at once: ``%.16e`` CSV, or ``json.dumps`` of the document."""
+    rows = list(zip(*(array.tolist() for array in arrays)))
+    if output_format == "csv":
+        row_format = ",".join(["%.16e"] * len(columns))
+        return "\n".join([",".join(columns), *(row_format % row for row in rows)]) + "\n"
+    if scalars:
+        document = {**scalars, "samples": [dict(zip(columns, row)) for row in rows]}
+    else:
+        document = {"columns": columns, "rows": [list(row) for row in rows]}
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+class TestStreamedTables:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layout=st.sampled_from(["csv", "samples", "rows"]),
+        rows=st.sampled_from([2, 999, 1000, 1001, 2001]),
+        columns=st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+            min_size=2, max_size=6, unique=True,
+        ),
+        drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
+        scalar_keys=st.lists(st.sampled_from(["a", "i0", "max_abs_diff", "samplea", "samplez", "zeta"]),
+                             min_size=1, max_size=3, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_text_equals_the_one_shot_text(self, layout, rows, columns, drawn, scalar_keys, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((rows, len(columns))) * 10.0 ** rng.integers(-300, 300, (rows, len(columns)))
+        planted = [*_EDGE_VALUES, *drawn][:table.size]
+        table.flat[rng.choice(table.size, len(planted), replace=False)] = planted
+        arrays = list(table.T)
+        scalars = {key: float(rng.standard_normal()) for key in scalar_keys} if layout == "samples" else {}
+        output_format = "csv" if layout == "csv" else "json"
+        with tempfile.TemporaryDirectory() as tmp:
+            config = merge_overrides(
+                default_config(),
+                {"output_format": output_format, "output_path": os.path.join(tmp, "table." + output_format)},
+            )
+            written = _write_table(config, columns, arrays, **scalars).read_bytes()
+        assert written == _one_shot_text(columns, arrays, output_format, scalars).encode("utf-8")
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_failure_mid_stream_leaves_the_old_file(self, tmp_path, monkeypatch, capsys, output_format):
+        out = tmp_path / f"profile.{output_format}"
+        out.write_bytes(b"old bytes\n")
+        render, calls = cli.render_profile, []
+
+        def fail_on_second_block(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError("device full")
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "render_profile", fail_on_second_block)
+        code = main(["simulate", "--samples", "2001", "--output-format", output_format, "-o", str(out)])
+        assert code == 3
+        assert "device full" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert out.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_non_finite_value_raises_and_writes_nothing(self, tmp_path, output_format):
+        config = merge_overrides(
+            default_config(),
+            {"output_format": output_format, "output_path": str(tmp_path / f"table.{output_format}")},
+        )
+        column = np.linspace(0.0, 1.0, 1500)
+        column[1200] = np.nan  # in the second block, after the first was written
+        with pytest.raises(ValueError, match="finite"):
+            _write_table(config, ["theta", "intensity"], [np.linspace(-0.1, 0.1, 1500), column], i0=1.0)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_peak_memory_grows_by_the_arrays_not_the_text(self, tmp_path, output_format):
+        def traced_peak(samples):
+            config = merge_overrides(
+                default_config(),
+                {"samples": samples, "output_format": output_format,
+                 "output_path": str(tmp_path / f"profile.{output_format}")},
+            )
+            run_simulate(config)  # first calls allocate once-only state; keep it out of the trace
+            tracemalloc.start()
+            try:
+                run_simulate(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_row = (traced_peak(100_001) - traced_peak(20_001)) / 80_000
+        assert per_row < 100
 
 
 class TestMainEntry:
