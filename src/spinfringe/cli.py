@@ -35,8 +35,8 @@ from .config import (
     resolve_output_path,
 )
 from .fringe import (
-    _BLOCK_ROWS,
     FringeProfile,
+    _row_blocks,
     ensemble_transmission,
     intensity_profile,
     measure_factor,
@@ -67,11 +67,10 @@ def compute_profile(config: SimulationConfig) -> FringeProfile:
         )
     stage = config.sg_stage
     values = np.empty(grid.shape)
-    for start in range(0, grid.size, _BLOCK_ROWS):  # row blocks bound the stacked temporaries
-        part = grid[start:start + _BLOCK_ROWS]
-        states = two_slit_state_at(layout, part, config.phase_convention).as_state()
+    for rows in _row_blocks(grid.size):  # row blocks bound the stacked temporaries
+        states = two_slit_state_at(layout, grid[rows], config.phase_convention).as_state()
         ensemble = measure_factor(states, stage.factor, stage.axis_angle)
-        values[start:start + _BLOCK_ROWS] = ensemble_transmission(ensemble, config.transmitted)
+        values[rows] = ensemble_transmission(ensemble, config.transmitted)
     return FringeProfile(grid, np.clip(config.i0 * values, 0.0, config.i0), config.i0)
 
 
@@ -123,14 +122,17 @@ def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:
     return f'{{\n{head}  "{table_key}": [\n', f"\n  ]{tail}\n}}\n"
 
 
-def _write_table(config: SimulationConfig, columns, column_arrays, **scalars) -> Path:
+def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
     """Write a table in the config's output format atomically (temp file + rename).
 
-    The head, one ``render_profile`` chunk per block of ``_BLOCK_ROWS`` rows,
-    and the tail are written into the temp file in turn, so the whole text is
-    never held at once.  Any failure removes the temp file and leaves a file
-    already at the path as it was.
+    ``table`` is the whole columns, or a function from a row slice to that
+    block's columns (``config.samples`` rows).  The head, one ``render_profile``
+    chunk per ``_row_blocks`` block and the tail go into the temp file in turn,
+    so neither the text nor a function's table is ever held whole.  Any
+    failure removes the temp file and leaves a file at the path as it was.
     """
+    count = config.samples if callable(table) else len(table[0])
+    block_of = table if callable(table) else lambda rows: [column[rows] for column in table]
     head, tail = _frame(columns, config.output_format, scalars)
     path = resolve_output_path(config)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -138,11 +140,10 @@ def _write_table(config: SimulationConfig, columns, column_arrays, **scalars) ->
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(head)
-            for start in range(0, len(column_arrays[0]), _BLOCK_ROWS):
-                if start:
+            for rows in _row_blocks(count, len(columns)):
+                if rows.start:
                     handle.write(_ROW_SEPARATOR[config.output_format])
-                block = [column[start:start + _BLOCK_ROWS] for column in column_arrays]
-                handle.write(render_profile(columns, block, config.output_format, **scalars))
+                handle.write(render_profile(columns, block_of(rows), config.output_format, **scalars))
             handle.write(tail)
         os.replace(tmp_name, path)
     except BaseException:
@@ -169,8 +170,7 @@ def run_compare(config: SimulationConfig) -> tuple[Path, float]:
     oracle = independent_intensity if config.detection else classical_intensity
     layout, thetas = config.geometry(), profile.thetas
     # row blocks: no (S, N) phase table; the oracle reduces each row on its own
-    blocks = [oracle(slit_phases(layout, thetas[start:start + _BLOCK_ROWS]))
-              for start in range(0, thetas.size, _BLOCK_ROWS)]
+    blocks = [oracle(slit_phases(layout, thetas[rows])) for rows in _row_blocks(thetas.size, layout.n_slits)]
     reference = config.i0 * np.concatenate(blocks)
     diffs = np.abs(profile.intensities - reference)
     max_abs_diff = float(diffs.max())
@@ -180,16 +180,15 @@ def run_compare(config: SimulationConfig) -> tuple[Path, float]:
 
 
 def run_geometry_dump(config: SimulationConfig) -> Path:
-    """Write per-angle incidence angles alpha_i and pair phases phi_i_j."""
+    """Write per-angle incidence angles alpha_i and pair phases phi_i_j, computed per row block."""
     config.validate()
-    layout = config.geometry()
-    grid = config.theta_grid()
+    layout, grid = config.geometry(), config.theta_grid()
     n = layout.n_slits
     first, second = (index + 1 for index in np.triu_indices(n, 1))
     header = ["theta"] + [f"alpha_{i}" for i in range(1, n + 1)]
     header += [f"phi_{i}_{j}" for i, j in zip(first, second)]
-    table = [grid, *incidence_angles(layout, grid).T, *pair_phase(layout, grid, first, second).T]
-    return _write_table(config, header, table)
+    return _write_table(config, header, lambda rows: [
+        grid[rows], *incidence_angles(layout, grid[rows]).T, *pair_phase(layout, grid[rows], first, second).T])
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:

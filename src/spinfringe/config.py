@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .fringe import _check_choice, _check_detection, _rotation_scale
-from .geometry import ConfigError, SlitGeometry, _check_positive, _checked_thetas
+from .geometry import ConfigError, SlitGeometry, _check_positive, _checked_thetas, _exact_int
 
 #: Environment variable that redirects relative output paths to a directory.
 OUTPUT_DIR_ENV = "SPINFRINGE_OUTPUT_DIR"
@@ -158,15 +157,6 @@ def load_config(path: str | Path) -> SimulationConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(data, source=str(path))
-
-
-def _exact_int(value) -> int:
-    """An integer-valued number as int; bools and fractional values raise."""
-    if isinstance(value, bool):
-        raise TypeError(f"not an integer: {value!r}")
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return operator.index(value)
 
 
 #: The one conversion of each plain field from a JSON value or a parsed flag.

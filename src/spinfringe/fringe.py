@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, pair_phase
+from .geometry import ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, _exact_int, pair_phase
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import rotation_matrix
 
@@ -36,8 +36,9 @@ DETECT_STATE_TOL = 1e-10
 
 _WEIGHT_CUTOFF = 1e-14
 
-#: Most samples a stacked state-algebra pass evaluates at once; bounds its temporaries.
+#: Most rows, and most (row, column) cells, that a blocked pass holds at once; bound its temporaries.
 _BLOCK_ROWS = 1000
+_BLOCK_CELLS = 2**18
 
 
 class GeometryError(ValueError):
@@ -60,15 +61,16 @@ def _check_choice(choice: str) -> None:
 
 
 def _check_detection(detection, n: int) -> None:
-    """Raise unless every which-way detector index names one of the n slits (1-based)."""
+    """Raise unless every which-way detector index is an exact integer naming one of the n slits (1-based)."""
     for index in detection:
-        if not 1 <= int(index) <= n:
+        if not 1 <= _exact_int(index) <= n:
             raise IndexError(f"detection slit index {index} out of range 1..{n}")
 
 
-def _blocks(count: int) -> list[int]:
-    """Row counts of the consecutive blocks of at most ``_BLOCK_ROWS`` that cover ``count`` samples."""
-    return [min(_BLOCK_ROWS, count - start) for start in range(0, count, _BLOCK_ROWS)]
+def _row_blocks(count: int, width: int = 1) -> list[slice]:
+    """In-order slices over ``count`` rows: 1 to ``_BLOCK_ROWS`` rows, at most ``_BLOCK_CELLS`` cells each."""
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // width))
+    return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
 
 
 def _theta_grid(thetas) -> np.ndarray:
@@ -259,7 +261,7 @@ def intensity_profile(
         _, shared, counts = np.unique(pos[j] - pos[i], return_index=True, return_counts=True)
         i, j = i[shared] + 1, j[shared] + 1  # one 1-based pair per distinct baseline
         acc = np.empty(grid.shape)
-        rows = max(1, 2**18 // counts.size)  # at most 2^18 (angle, baseline) cells at once
+        rows = max(1, _BLOCK_CELLS // counts.size)  # cells, no row cap: a 2-slit grid is one block
         for start in range(0, grid.size, rows):
             terms = pair_phase(geometry, grid[start:start + rows], i, j)
             np.cos(np.multiply(terms, 2.0 * scale, out=terms), out=terms)

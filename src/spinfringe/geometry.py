@@ -20,6 +20,7 @@ Two distinct angle-like quantities are computed per aperture pair:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,15 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def _exact_int(value) -> int:
+    """An integer-valued number as int; bools and fractional values raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"not an integer: {value!r}")
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return operator.index(value)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fringe, geometry, oracle, qstate, rotor
-from .fringe import _BLOCK_ROWS, _blocks  # _BLOCK_ROWS: the checks' block size, bound here too
+from .fringe import _BLOCK_ROWS, _row_blocks  # _BLOCK_ROWS: the checks' block size, bound here too
 
 DEFAULT_SEED = 20240811
 
@@ -34,6 +34,10 @@ class CheckResult:
 
 def _count(n: int, scale: float) -> int:
     return max(10, int(round(n * scale)))
+
+
+def _block_sizes(n: int, scale: float) -> list[int]:
+    return [rows.stop - rows.start for rows in _row_blocks(_count(n, scale))]
 
 
 def _worst(*errors) -> float:
@@ -85,7 +89,7 @@ def check_tensor_norm_product(rng, scale: float) -> CheckResult:
 
 def check_uv_reconstruction(rng, scale: float) -> CheckResult:
     err = 0.0
-    for rows in _blocks(_count(1000, scale)):
+    for rows in _block_sizes(1000, scale):
         parts = rng.normal(size=(rows, 2, 4))
         states = parts[:, 0] + 1j * parts[:, 1]
         c_u, c_v, residual = qstate.decompose_uv(states)
@@ -97,7 +101,7 @@ def check_uv_reconstruction(rng, scale: float) -> CheckResult:
 
 def check_rotation_orthogonality(rng, scale: float) -> CheckResult:
     err = 0.0
-    for rows in _blocks(_count(1000, scale)):
+    for rows in _block_sizes(1000, scale):
         a = rng.uniform(-10, 10, size=rows)
         r = rotor.rotation_matrix(a)
         err = max(err, _worst(np.swapaxes(r, -1, -2) @ r - np.eye(2), np.linalg.det(r) - 1.0,
@@ -108,7 +112,7 @@ def check_rotation_orthogonality(rng, scale: float) -> CheckResult:
 def check_equal_angle_invariance(rng, scale: float) -> CheckResult:
     states = np.array([qstate.basis_u().vector(), qstate.basis_v().vector()])
     err = 0.0
-    for rows in _blocks(_count(10_000, scale)):
+    for rows in _block_sizes(10_000, scale):
         a = rng.uniform(-10, 10, size=(rows, 1))
         err = max(err, _worst(rotor.apply_pair((a, a), states) - states))
     return CheckResult("equal-angle invariance of u and v", err, 1e-12)
@@ -116,7 +120,7 @@ def check_equal_angle_invariance(rng, scale: float) -> CheckResult:
 
 def check_uv_transformation_law(rng, scale: float) -> CheckResult:
     err = 0.0
-    for rows in _blocks(_count(10_000, scale)):
+    for rows in _block_sizes(10_000, scale):
         alpha, beta = rng.uniform(-10, 10, size=(rows, 2)).T
         cos_d, sin_d = np.cos(beta - alpha), np.sin(beta - alpha)
         for state, law, (want_u, want_v) in (
@@ -131,7 +135,7 @@ def check_uv_transformation_law(rng, scale: float) -> CheckResult:
 
 def check_single_sided_terms(rng, scale: float) -> CheckResult:
     err = 0.0
-    for rows in _blocks(_count(1000, scale)):
+    for rows in _block_sizes(1000, scale):
         a = rng.uniform(-10, 10, size=rows)
         expected = np.stack([np.cos(a), -np.sin(a), np.sin(a), np.cos(a)], axis=-1) * math.sqrt(0.5)
         err = max(err, _worst(rotor.apply_pair((0.0, a), qstate.basis_u().vector()) - expected))
@@ -140,7 +144,7 @@ def check_single_sided_terms(rng, scale: float) -> CheckResult:
 
 def check_composition_law(rng, scale: float) -> CheckResult:
     err = 0.0
-    for rows in _blocks(_count(10_000, scale)):
+    for rows in _block_sizes(10_000, scale):
         alpha, beta, gamma = rng.uniform(-10, 10, size=(rows, 3)).T
         psi12 = _uv_states(np.cos(beta - alpha), -np.sin(beta - alpha))
         expected = _uv_states(np.cos(gamma - alpha), -np.sin(gamma - alpha))
@@ -150,7 +154,7 @@ def check_composition_law(rng, scale: float) -> CheckResult:
 
 def check_group_action(rng, scale: float) -> CheckResult:
     err = 0.0
-    for rows in _blocks(_count(10_000, scale)):
+    for rows in _block_sizes(10_000, scale):
         a1, b1, a2, b2, phi = rng.uniform(-10, 10, size=(rows, 5)).T
         state = _uv_states(np.cos(phi), np.sin(phi))
         chained = rotor.apply_pair((a2, b2), rotor.apply_pair((a1, b1), state))
@@ -160,7 +164,7 @@ def check_group_action(rng, scale: float) -> CheckResult:
 
 def check_reduction_law(rng, scale: float) -> CheckResult:
     err = 0.0
-    for rows in _blocks(_count(10_000, scale)):
+    for rows in _block_sizes(10_000, scale):
         alpha, beta, phi = rng.uniform(-10, 10, size=(rows, 3)).T
         state = _uv_states(np.cos(phi), np.sin(phi))
         reduced = rotor.apply_pair((0.0, beta - alpha), state)
@@ -170,7 +174,7 @@ def check_reduction_law(rng, scale: float) -> CheckResult:
 
 def check_norm_preservation(rng, scale: float) -> CheckResult:
     err = 0.0
-    for rows in _blocks(_count(1000, scale)):
+    for rows in _block_sizes(1000, scale):
         alpha, beta = rng.uniform(-10, 10, size=(rows, 2)).T
         parts = rng.normal(size=(rows, 2, 4))
         state = parts[:, 0] + 1j * parts[:, 1]
@@ -216,7 +220,7 @@ def check_fringe_maxima_paper(scale: float) -> CheckResult:
 def check_pairwise_identity(rng, scale: float) -> CheckResult:
     err = 0.0
     for n in range(2, 7):
-        for rows in _blocks(_count(10_000, scale)):
+        for rows in _block_sizes(10_000, scale):
             _, _, diff = oracle.pairwise_identity_check(rng.uniform(-20, 20, size=(rows, n)))
             err = max(err, _worst(diff))
     return CheckResult("pairwise identity N=2..6", err, 1e-9)
@@ -261,7 +265,7 @@ def check_measurement_transmission(rng, scale: float) -> CheckResult:
     err = 0.0
     eye = np.eye(2)
     u = qstate.basis_u().vector()
-    for rows in _blocks(_count(1000, scale)):
+    for rows in _block_sizes(1000, scale):
         phi, axis = rng.uniform([-10, -math.pi], [10, math.pi], size=(rows, 2)).T
         states = fringe.PairState.from_rotation(phi).as_state()
         model = fringe.ensemble_transmission(fringe.measure_factor(states, 1, axis), "u")

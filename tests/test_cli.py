@@ -25,6 +25,7 @@ from spinfringe.cli import (
     run_simulate,
 )
 from spinfringe.config import MAX_SAMPLES, MAX_SLITS, config_from_dict, load_config, merge_overrides, resolve_output_path
+from spinfringe.fringe import _BLOCK_CELLS, _BLOCK_ROWS, _row_blocks
 
 
 def write_config(tmp_path, **fields):
@@ -541,6 +542,74 @@ class TestGeometryDump:
         assert [name for name in header if name.startswith("phi_")] == [f"phi_{i}_{j}" for i, j in pairs]
         for i, j in pairs:
             assert np.array_equal(table[f"phi_{i}_{j}"], spinfringe.pair_phase(layout, grid, i, j))
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_wide_dump_spans_cell_limited_blocks(self, tmp_path, monkeypatch, output_format):
+        # N = 40 gives 1 + 40 + 780 = 821 columns, so 2^18 cells hold 319 rows
+        blocks, render = [], cli.render_profile
+
+        def recording(columns, column_arrays, *args, **kwargs):
+            blocks.append(len(column_arrays[0]))
+            return render(columns, column_arrays, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "render_profile", recording)
+        config = merge_overrides(
+            default_config(),
+            {"slit_count": 40, "samples": 700, "output_format": output_format,
+             "output_path": str(tmp_path / f"wide.{output_format}")},
+        )
+        text = run_geometry_dump(config).read_text()
+        assert blocks == [319, 319, 62]
+        if output_format == "csv":
+            lines = text.splitlines()
+            header, rows = lines[0].split(","), [[float(x) for x in line.split(",")] for line in lines[1:]]
+        else:
+            document = json.loads(text)
+            header, rows = document["columns"], document["rows"]
+        table = dict(zip(header, np.array(rows).T))
+        assert len(header) == 821 and len(rows) == 700
+        layout, grid = config.geometry(), config.theta_grid()
+        assert np.array_equal(table["theta"], grid)
+        angles = spinfringe.incidence_angles(layout, grid)
+        for i in range(1, 41):
+            assert np.array_equal(table[f"alpha_{i}"], angles[:, i - 1])
+            for j in range(i + 1, 41):
+                assert np.array_equal(table[f"phi_{i}_{j}"], spinfringe.pair_phase(layout, grid, i, j))
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_peak_memory_grows_by_the_grid_not_the_pair_table(self, tmp_path, output_format):
+        def config(samples):
+            return merge_overrides(
+                default_config(),
+                {"slit_count": 60, "samples": samples, "output_format": output_format,
+                 "output_path": str(tmp_path / f"geo.{output_format}")},
+            )
+
+        def traced_peak(samples):
+            tracemalloc.start()
+            try:
+                run_geometry_dump(config(samples))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_geometry_dump(config(3))  # first calls allocate once-only state; keep it out of the trace
+        # 60 slits give 1,831 columns, 143 rows a block; a whole table costs tens of KB per row
+        per_row = (traced_peak(300) - traced_peak(150)) / 150
+        assert per_row < 100
+
+
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(count=st.integers(0, 5000), width=st.integers(1, 2**20))
+    def test_blocks_tile_the_rows_in_order_within_both_limits(self, count, width):
+        blocks = _row_blocks(count, width)
+        assert [index for rows in blocks for index in range(count)[rows]] == list(range(count))
+        assert all(rows.step is None for rows in blocks)
+        for rows in blocks:
+            size = rows.stop - rows.start
+            assert 1 <= size <= _BLOCK_ROWS
+            assert size * width <= _BLOCK_CELLS or size == 1
 
 
 #: Floats whose shortest repr has an exponent, a sign or all 17 digits.

@@ -11,11 +11,13 @@ from hypothesis.extra import numpy as hnp
 from spinfringe import (
     PHASE_CONVENTIONS,
     TRANSMITTED_CHOICES,
+    ConfigError,
     Ensemble,
     FringeProfile,
     GeometryError,
     PairState,
     ScreenPoint,
+    SimulationConfig,
     SlitGeometry,
     Spinor,
     TwoSpinState,
@@ -194,6 +196,19 @@ class TestIntensityProfile:
         with pytest.raises(IndexError):
             intensity_profile(two_slit, np.array([0.0]), detection=(3,))
 
+    @pytest.mark.parametrize("index", [2.9, 1.5, True, "2"])
+    def test_detection_index_is_never_truncated(self, three_slit, index):
+        # the library and the config share one exact-integer rule
+        with pytest.raises(TypeError, match="integer"):
+            intensity_profile(three_slit, np.array([0.0]), detection=(index,))
+        with pytest.raises(ConfigError, match="detection"):
+            SimulationConfig(slit_count=3, detection=(index,)).validate()
+
+    def test_detection_index_accepts_integral_numbers(self, three_slit):
+        for index in (2, 2.0, np.int64(2)):
+            profile = intensity_profile(three_slit, np.array([0.0]), detection=(index,))
+            assert profile.intensities[0] == pytest.approx(1.0 / 3.0)
+
     def test_absorbed_choice_is_complement(self, two_slit, three_slit):
         grid = np.linspace(-0.3, 0.3, 301)
         for layout in (two_slit, three_slit):
@@ -364,6 +379,47 @@ class TestPairPhaseInvariances:
         expected = np.clip(i0 * (values if choice == "u" else 1.0 - values), 0.0, i0)
         profile = intensity_profile(layout, grid, convention, choice, i0=i0)
         assert np.max(np.abs(profile.intensities - expected)) <= 1e-12 * i0
+
+
+class TestProfileInvariants:
+    """Transmitted plus absorbed is i0, profiles lie in [0, i0], detection is flat, for any layout."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        positions=_irregular_layouts(),
+        wavelength=_WAVELENGTHS,
+        thetas=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=40, unique=True),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+        i0=st.floats(min_value=1e-6, max_value=1e6),
+    )
+    def test_u_plus_v_is_i0_and_both_lie_in_range(self, positions, wavelength, thetas, convention, i0):
+        layout, grid = SlitGeometry(positions, wavelength, 1.0), np.sort(thetas)
+        u_side = intensity_profile(layout, grid, convention, "u", i0=i0).intensities
+        v_side = intensity_profile(layout, grid, convention, "v", i0=i0).intensities
+        assert np.max(np.abs(u_side + v_side - i0)) <= 1e-12 * i0
+        for values in (u_side, v_side):
+            assert np.all((values >= 0.0) & (values <= i0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        positions=_irregular_layouts(),
+        wavelength=_WAVELENGTHS,
+        thetas=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=40, unique=True),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+        choice=st.sampled_from(TRANSMITTED_CHOICES),
+        i0=st.floats(min_value=1e-6, max_value=1e6),
+        detectors=st.lists(st.integers(0, 7), min_size=1, max_size=4),
+    )
+    def test_any_detection_is_flat_at_i0_over_n(
+        self, positions, wavelength, thetas, convention, choice, i0, detectors
+    ):
+        n = len(positions)
+        detection = tuple(k % n + 1 for k in detectors)
+        profile = intensity_profile(
+            SlitGeometry(positions, wavelength, 1.0), np.sort(thetas), convention, choice, detection, i0
+        )
+        assert np.all(profile.intensities == profile.intensities[0])
+        assert abs(profile.intensities[0] - i0 / n) <= 1e-12 * i0
 
 
 class TestDetectAtSlit:
