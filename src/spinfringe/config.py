@@ -33,6 +33,12 @@ MAX_SAMPLES = 1_000_000
 #: 64; checked before the layout is built, as the pair rule is O(N^2).
 MAX_SLITS = 1_000
 
+#: Largest accepted S x (1 + N + N(N-1)/2): the cells of the widest table any
+#: command builds, the ``geometry`` dump's.  It also bounds the kernel's
+#: S x (distinct baselines) and the oracle's S x N, so one cap covers every
+#: command; 1,000 slits still fit at the default 1,001 samples (5.01e8 cells).
+MAX_CELLS = 10**9
+
 
 @dataclass(frozen=True)
 class SternGerlachStage:
@@ -84,6 +90,9 @@ class SimulationConfig:
                  "theta_max", f"must exceed theta_min, got [{self.theta_min}, {self.theta_max}]")
         _require(isinstance(self.samples, int) and 2 <= self.samples <= MAX_SAMPLES,
                  "samples", f"must be an integer in [2, {MAX_SAMPLES}], got {self.samples}")
+        cells = self.samples * (1 + n + n * (n - 1) // 2)
+        _require(cells <= MAX_CELLS, "samples",
+                 f"{self.samples} samples at {n} slits make {cells} table cells, over {MAX_CELLS}")
         _as_field("phase_convention", _rotation_scale, self.phase_convention)
         _as_field("transmitted", _check_choice, self.transmitted)
         _as_field("detection", _check_detection, self.detection, n)

@@ -1,12 +1,17 @@
 """Config validation, file emission contracts, determinism, and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from spinfringe.cli import (
     run_geometry_dump,
     run_simulate,
 )
-from spinfringe.config import MAX_SAMPLES, MAX_SLITS, config_from_dict, load_config, merge_overrides, resolve_output_path
+from spinfringe.config import _FIELD_NAMES, MAX_CELLS, MAX_SAMPLES, MAX_SLITS, config_from_dict, load_config, merge_overrides, resolve_output_path
 from spinfringe.fringe import _BLOCK_CELLS, _BLOCK_ROWS, _row_blocks
 
 
@@ -85,6 +90,24 @@ class TestConfigValidation:
         merge_overrides(default_config(), {"slit_count": MAX_SLITS}).validate()
         positions = [k * 1e-6 for k in range(MAX_SLITS)]
         merge_overrides(default_config(), {"slit_positions": positions}).validate()
+
+    def test_work_budget_admits_its_largest_grid(self):
+        # S x (1 + N + N(N-1)/2) cells of the geometry dump: 1,997 x 500,501 <= 10^9 < 1,998 x 500,501
+        assert 1997 * _cells(MAX_SLITS) <= MAX_CELLS < 1998 * _cells(MAX_SLITS)
+        merge_overrides(default_config(), {"slit_count": MAX_SLITS, "samples": 1997}).validate()
+
+    @pytest.mark.parametrize("samples", [1998, 2000])
+    def test_work_budget_names_samples_before_any_grid(self, samples, tmp_path, capsys, monkeypatch):
+        config = merge_overrides(default_config(), {"slit_count": MAX_SLITS, "samples": samples})
+        with pytest.raises(ConfigError) as excinfo:
+            config.validate()
+        assert excinfo.value.field == "samples"
+        monkeypatch.setattr(SimulationConfig, "theta_grid", lambda self: pytest.fail("grid built"))
+        out = tmp_path / "dump.csv"
+        code = main(["geometry", "--slit-count", str(MAX_SLITS), "--samples", str(samples), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: samples:")
+        assert not out.exists()
 
     def test_positions_not_increasing(self):
         config = merge_overrides(default_config(), {"slit_positions": [1e-6, -1e-6]})
@@ -770,3 +793,154 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--phase-convention", "bogus"])
         assert excinfo.value.code == 2
+
+
+def _flag(name, valid, invalid):
+    """(valid, invalid) argv strategies of one flag from strategies of its value text."""
+    return tuple(values.map(lambda value: [f"{name}={value}"]) for values in (valid, invalid))
+
+
+def _float_text(low, high):
+    return _finite(low, high).map(repr)
+
+
+_BAD_NUMBERS = st.sampled_from(["0", "-1e-6", "nan", "inf", "-inf", "x", ""])
+
+#: Every output-command flag, or a group drawn together (one layout form; an SG axis with its
+#: factor): a strategy of valid argv pieces and one of invalid pieces.
+_FLAGS = {
+    "--wavelength": _flag("--wavelength", _float_text(1e-8, 1e-5), _BAD_NUMBERS),
+    "--screen-distance": _flag("--screen-distance", _float_text(1e-3, 10.0), _BAD_NUMBERS),
+    "--separation": _flag("--separation", _float_text(1e-7, 1e-5), _BAD_NUMBERS),
+    "--theta-min": _flag("--theta-min", _float_text(-1.5, 0.0), st.sampled_from(["-2", "1.6", "nan", "-inf", "x"])),
+    "--theta-max": _flag("--theta-max", _float_text(1e-3, 1.5), st.sampled_from(["2", "-1.6", "nan", "inf", "x"])),
+    "--samples": _flag("--samples", st.integers(2, 64).map(str), st.sampled_from(["1", "0", "-5", "2.5", "x"])),
+    "--phase-convention": _flag("--phase-convention", st.sampled_from(["half", "paper"]), st.just("full")),
+    "--transmitted": _flag("--transmitted", st.sampled_from(["u", "v"]), st.just("w")),
+    "--detection": _flag(
+        "--detection",
+        st.lists(st.integers(1, 2), max_size=2).map(lambda ks: ",".join(map(str, ks))),
+        st.sampled_from(["0", "7", "-1", "1.5", "x"]),
+    ),
+    "--i0": _flag("--i0", _float_text(1e-3, 1e3), _BAD_NUMBERS),
+    "--output-format": _flag("--output-format", st.sampled_from(["csv", "json"]), st.just("xml")),
+    "layout": (
+        st.one_of(
+            st.integers(2, 6).map(lambda n: [f"--slit-count={n}"]),
+            st.lists(_finite(-1e-4, 1e-4), min_size=2, max_size=6, unique=True).map(
+                lambda positions: [f"--slit-positions={','.join(map(repr, sorted(positions)))}"]),
+        ),
+        st.sampled_from([["--slit-count=1"], ["--slit-count=2.5"], ["--slit-positions="],
+                         ["--slit-positions=2e-6,1e-6"], ["--slit-positions=1e-6,x"],
+                         ["--slit-count=3", "--slit-positions=-1e-6,1e-6"]]),
+    ),
+    "sg": (
+        st.tuples(st.sampled_from(["1", "2"]), st.one_of(st.none(), _float_text(-10.0, 10.0))).map(
+            lambda drawn: [f"--sg-factor={drawn[0]}"] + ([f"--sg-axis-angle={drawn[1]}"] if drawn[1] else [])),
+        st.sampled_from([["--sg-factor=3"], ["--sg-factor=x"], ["--sg-axis-angle=0.3"],
+                         ["--sg-factor=1", "--sg-axis-angle=nan"], ["--sg-factor=2", "--sg-axis-angle=inf"]]),
+    ),
+}
+
+
+def _cells(n: int) -> int:
+    """Columns of the geometry dump at n slits, the width the work budget counts."""
+    return 1 + n + n * (n - 1) // 2
+
+
+#: A slit count and sample count past MAX_CELLS (N >= 45, as fewer slits fit MAX_SAMPLES), or samples past MAX_SAMPLES.
+_OVER_CAP = st.one_of(
+    st.integers(45, MAX_SLITS).flatmap(
+        lambda n: st.integers(MAX_CELLS // _cells(n) + 1, MAX_SAMPLES).map(
+            lambda samples: [f"--slit-count={n}", f"--samples={samples}"])),
+    st.integers(MAX_SAMPLES + 1, 10**12).map(lambda samples: [f"--samples={samples}"]),
+)
+
+
+@st.composite
+def _output_argv(draw):
+    """argv of an output command (without -o), whether it was drawn over a cap, and its --config choice.
+
+    Each flag or flag group is absent, valid or (for at most two of them) invalid.
+    """
+    spoiled = draw(st.sets(st.sampled_from(sorted(_FLAGS)), max_size=2)) if draw(st.booleans()) else set()
+    argv = [draw(st.sampled_from(["simulate", "compare", "geometry"]))]
+    for name, (valid, invalid) in _FLAGS.items():
+        if name in spoiled:
+            argv += draw(invalid)
+        elif draw(st.integers(0, 2)) == 0:
+            argv += draw(valid)
+    over_cap = draw(st.integers(0, 4)) == 0
+    if over_cap:
+        argv += draw(_OVER_CAP)
+    return argv, over_cap, draw(st.sampled_from([None, None, "valid", "broken", "missing", "unknown-field"]))
+
+
+def _read_table(path, output_format: str) -> dict:
+    """The columns of a written table, by name."""
+    text = path.read_text(encoding="utf-8")
+    if output_format == "csv":
+        header, *lines = text.splitlines()
+        rows = [[float(x) for x in line.split(",")] for line in lines]
+        return dict(zip(header.split(","), np.array(rows, ndmin=2).T))
+    document = json.loads(text)
+    if "columns" in document:
+        return dict(zip(document["columns"], np.array(document["rows"], ndmin=2).T))
+    rows = document["samples"]
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
+
+
+_CONFIG_FILES = {
+    "valid": '{"samples": 17, "i0": 2.5, "phase_convention": "paper"}',
+    "broken": "{not json",
+    "unknown-field": '{"wavelenght": 5e-7}',
+}
+
+
+class TestCliProperty:
+    """Any argv either writes a finite, reproducible table in [0, i0] or exits 2 naming what it rejects."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_output_argv())
+    def test_every_run_succeeds_cleanly_or_exits_2_naming_its_input(self, drawn):
+        argv, over_cap, config_file = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            if config_file is not None:
+                path = os.path.join(tmp, "config.json")
+                if config_file != "missing":
+                    with open(path, "w", encoding="utf-8") as handle:
+                        handle.write(_CONFIG_FILES[config_file])
+                argv = [argv[0], f"--config={path}", *argv[1:]]
+            out = Path(tmp) / "out.table"
+            argv = [*argv, f"--output={out}"]
+
+            def run():
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse usage error
+                        code = exc.code
+                return code, stderr.getvalue()
+
+            no_grid = mock.patch.object(SimulationConfig, "theta_grid", side_effect=AssertionError("grid built"))
+            with no_grid if over_cap else contextlib.nullcontext():
+                code, err = run()
+            if code == 2:
+                # a config error names a field, or the unknown key of the file; a usage error its flag
+                named = re.match(r"config error: (\w+):", err)
+                usage = re.search(r"error: argument (--[\w-]+|-o/--output)", err)
+                assert (named and named.group(1) in _FIELD_NAMES | {"config", "wavelenght"}
+                        or usage and usage.group(1) in " ".join(argv)), err
+                assert "Traceback" not in err
+                assert not out.exists()
+                return
+            assert code == 0 and not over_cap, (code, err)
+            config = _config_from_args(build_parser().parse_args(argv))
+            first = out.read_bytes()
+            table = _read_table(out, config.output_format)
+            assert all(len(column) == config.samples and np.isfinite(column).all() for column in table.values())
+            if "intensity" in table:  # not the compare oracle: unclipped, it may pass i0 by a few ulp
+                assert np.all((table["intensity"] >= 0.0) & (table["intensity"] <= config.i0))
+            assert run() == (0, "")
+            assert out.read_bytes() == first

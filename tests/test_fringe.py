@@ -382,7 +382,8 @@ class TestPairPhaseInvariances:
 
 
 class TestProfileInvariants:
-    """Transmitted plus absorbed is i0, profiles lie in [0, i0], detection is flat, for any layout."""
+    """Transmitted plus absorbed is i0, profiles lie in [0, i0], detection is flat, an SG stage halves
+    either share, for any layout."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -420,6 +421,27 @@ class TestProfileInvariants:
         )
         assert np.all(profile.intensities == profile.intensities[0])
         assert abs(profile.intensities[0] - i0 / n) <= 1e-12 * i0
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        positions=_irregular_layouts(max_slits=2),
+        wavelength=_WAVELENGTHS,
+        thetas=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=40, unique=True),
+        factor=st.sampled_from((1, 2)),
+        axis=st.floats(-10.0, 10.0),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+        choice=st.sampled_from(TRANSMITTED_CHOICES),
+    )
+    def test_sg_stage_transmits_half_of_either_invariant_share_at_any_axis(
+        self, positions, wavelength, thetas, factor, axis, convention, choice
+    ):
+        layout, grid = SlitGeometry(positions, wavelength, 1.0), np.sort(thetas)
+        states = two_slit_state_at(layout, grid, convention).as_state()
+        transmitted = ensemble_transmission(measure_factor(states, factor, axis), choice)
+        phi = (1.0 if convention == "paper" else 0.5) * pair_phase(layout, grid, 1, 2)
+        expected = (np.cos(phi) if choice == "u" else np.sin(phi)) ** 2 / 2.0
+        assert np.max(np.abs(transmitted - expected)) <= 1e-12
 
 
 class TestDetectAtSlit:

@@ -1,10 +1,15 @@
 """The self-check battery: report contract and fault injection."""
 
+import itertools
+import math
+
 import numpy as np
+import pytest
 
 import spinfringe.fringe
 import spinfringe.rotor
 import spinfringe.verify
+from spinfringe import SlitGeometry, intensity_profile, pair_phase, slit_phases
 from spinfringe.verify import format_report, run_checks
 
 
@@ -109,3 +114,35 @@ class TestFaultInjection:
         results = run_checks(scale=0.05)
         failed = [r.name for r in results if not r.passed]
         assert "multi-slit vs classical oracle (half)" in failed
+
+
+class TestStackedChecksEqualTheirLoops:
+    """The stacked checks report the error of a loop over each peak or each index tuple."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.123, 0.02])
+    def test_fringe_maxima_equal_the_per_peak_loop(self, scale):
+        layout = SlitGeometry.evenly_spaced(2, 2e-6, 500e-9, 1.0)
+        grid = np.linspace(-0.3, 0.3, spinfringe.verify._count(10_000, scale))
+        values = intensity_profile(layout, grid, convention="paper").intensities
+        half_wave = layout.wavelength / (2.0 * (layout.slit_positions[1] - layout.slit_positions[0]))
+        errors = [
+            abs(grid[i] - math.asin(round(math.sin(grid[i]) / half_wave) * half_wave))
+            for i in range(1, len(grid) - 1)
+            if values[i] >= values[i - 1] and values[i] >= values[i + 1] and values[i] > 0.5
+        ]
+        # np.arcsin may be a SIMD routine a few ulp from math.asin, so allow a few eps of theta
+        stacked = spinfringe.verify.check_fringe_maxima_paper(scale).max_error
+        assert errors and abs(stacked - max(errors)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("scale", [0.5, 0.05])
+    def test_phase_additivity_equals_the_per_triple_calls(self, scale):
+        rng, errors, bound = np.random.default_rng(11), [0.0], 0.0
+        for _ in range(spinfringe.verify._count(300, scale)):
+            layout, point = spinfringe.verify._random_geometry(rng)
+            bound = max(bound, float(np.max(np.abs(slit_phases(layout, point)))))
+            for i, j, k in itertools.combinations(range(1, layout.n_slits + 1), 3):
+                rhs = pair_phase(layout, point, i, j) + pair_phase(layout, point, j, k)
+                errors.append(abs(pair_phase(layout, point, i, k) - rhs))
+        result = spinfringe.verify.check_phase_additivity(np.random.default_rng(11), scale)
+        assert max(errors) > 0.0
+        assert (result.max_error, result.tolerance) == (max(errors), 8.0 * np.finfo(float).eps * max(bound, 1.0))
