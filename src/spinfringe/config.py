@@ -143,10 +143,10 @@ def default_config() -> SimulationConfig:
 _FIELD_NAMES = {f.name for f in fields(SimulationConfig)}
 
 
-def config_from_dict(data: dict, source: str = "config") -> SimulationConfig:
-    """Build a validated config from a parsed JSON document."""
+def config_from_dict(data: dict, source: str = "the document") -> SimulationConfig:
+    """Build a validated config from a parsed JSON document; ``source`` names it in errors."""
     if not isinstance(data, dict):
-        raise ConfigError(source, f"document must be a JSON object, got {type(data).__name__}")
+        raise ConfigError("config", f"{source} must hold a JSON object, got {type(data).__name__}")
     unknown = set(data) - _FIELD_NAMES
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field")

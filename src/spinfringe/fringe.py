@@ -20,11 +20,13 @@ d*sin(theta) = m*lambda/2.  Both are first-class; callers choose.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, _exact_int, pair_phase
+from .geometry import (ScreenPoint, SlitGeometry, _by_slit_count, _check_positive, _checked_thetas, _exact_int,
+                       pair_phase)
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import rotation_matrix
 
@@ -207,8 +209,8 @@ def transmission_probability(state: PairState, choice: str = "u") -> float:
 
 
 def multi_slit_intensity(
-    geometry: SlitGeometry, point: ScreenPoint, convention: str = "half"
-) -> float:
+    geometry: SlitGeometry | Sequence[SlitGeometry], point, convention: str = "half"
+) -> float | np.ndarray:
     """Normalized screen intensity from the pairwise correlation rule.
 
     Every aperture pair (i, j) contributes cos(2*phi_ij) with phi_ij its
@@ -219,10 +221,30 @@ def multi_slit_intensity(
     For N = 2 this equals cos^2(phi_12), the two-slit transmission
     probability; under the half convention the doubled angles are the raw
     optical phases, so I equals the classical grating intensity
-    |sum_k exp(i*phase_k)|^2 / N^2.  This is the one-point form of
-    ``intensity_profile``.
+    |sum_k exp(i*phase_k)|^2 / N^2.  One layout and a ScreenPoint give the
+    one-point ``intensity_profile``; m layouts (any slit counts) with m
+    angles give an (m,) array whose rows add pairs by ascending separation
+    as the profile does, equal to it bit for bit if no separation repeats.
     """
-    return float(intensity_profile(geometry, [point.theta], convention).intensities[0])
+    if isinstance(geometry, SlitGeometry):
+        return float(intensity_profile(geometry, [point.theta], convention).intensities[0])
+    scale = _rotation_scale(convention)
+    values = np.empty(len(geometry))
+    for rows, layouts, thetas in _by_slit_count(geometry, point):  # one kernel pass per slit count
+        n = layouts[0].n_slits
+        i, j = np.triu_indices(n, 1)
+        phases = pair_phase(layouts, thetas, i + 1, j + 1)
+        # |phi_ij| = |k|*(a_j - a_i) grows with the separation; equal values may go in any order
+        ordered = np.take_along_axis(phases, np.argsort(np.abs(phases), axis=-1), axis=-1)
+        values[rows] = (n + 2.0 * _cosine_sum(ordered, scale)) / n**2
+    return np.clip(values, 0.0, 1.0)
+
+
+def _cosine_sum(phases: np.ndarray, scale: float, counts=1, out=None) -> np.ndarray:
+    """In-place row sums of counts*cos(2*scale*phi), column by column, of a C-contiguous (rows, pairs) array."""
+    np.cos(np.multiply(phases, 2.0 * scale, out=phases), out=phases)
+    phases *= counts
+    return phases.sum(axis=-1, out=out)
 
 
 def intensity_profile(
@@ -263,10 +285,8 @@ def intensity_profile(
         acc = np.empty(grid.shape)
         rows = max(1, _BLOCK_CELLS // counts.size)  # cells, no row cap: a 2-slit grid is one block
         for start in range(0, grid.size, rows):
-            terms = pair_phase(geometry, grid[start:start + rows], i, j)
-            np.cos(np.multiply(terms, 2.0 * scale, out=terms), out=terms)
-            terms *= counts
-            terms.sum(axis=-1, out=acc[start:start + rows])
+            block = slice(start, start + rows)
+            _cosine_sum(pair_phase(geometry, grid[block], i, j), scale, counts, out=acc[block])
         values = (n + 2.0 * acc) / n**2
         if choice == "v":
             values = 1.0 - values

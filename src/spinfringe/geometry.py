@@ -3,9 +3,9 @@
 Screen points are parameterized by the angle ``theta`` from the central
 normal.  ``incidence_angles``, ``slit_phases`` and ``pair_phase`` take a
 ``ScreenPoint`` or, in its place, a 1-D grid of S angles, which adds a
-leading axis whose row k is the value at ``ScreenPoint(thetas[k])``.  Slit
-indices throughout this module are 1-based, matching the aperture labels
-a_1 .. a_N used in output columns.
+leading axis whose row k is the value at ``ScreenPoint(thetas[k])``; m
+layouts of one slit count with m angles give row k at layout k, thetas[k].
+Slit indices are 1-based, matching the aperture labels a_1 .. a_N.
 
 Two distinct angle-like quantities are computed per aperture pair:
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,18 +121,37 @@ def _screen_angles(point) -> float | np.ndarray:
     return point.theta if isinstance(point, ScreenPoint) else _checked_thetas(point)
 
 
-def _wavenumber(geometry: SlitGeometry, point) -> float | np.ndarray:
-    """Transverse wavenumber k = 2*pi*sin(theta)/lambda at the point or each grid angle."""
-    return 2.0 * math.pi * np.sin(_screen_angles(point)) / geometry.wavelength
+def _by_slit_count(layouts, thetas) -> list[tuple[np.ndarray, list[SlitGeometry], np.ndarray]]:
+    """m layouts with m checked angles, as (rows, layouts, thetas) per slit count in ascending order."""
+    layouts, grid = list(layouts), _checked_thetas(thetas)
+    if grid.shape != (len(layouts),):
+        raise ValueError(f"{len(layouts)} stacked layouts need {len(layouts)} angles, got shape {grid.shape}")
+    counts = np.array([layout.n_slits for layout in layouts], dtype=int)
+    groups = (np.flatnonzero(counts == n) for n in sorted(set(counts.tolist())))
+    return [(rows, [layouts[r] for r in rows], grid[rows]) for rows in groups]
 
 
-def _pair_indices(geometry: SlitGeometry, i, j, quantity: str) -> tuple[np.ndarray, np.ndarray]:
-    """0-based index arrays of the 1-based slit indices; raises IndexError naming the first bad one."""
+def _positions_and_wavenumber(geometry, point) -> tuple[np.ndarray, float | np.ndarray]:
+    """Positions and k = 2*pi*sin(theta)/lambda: (N,) and point-shaped, or (m, N) and (m,) for a stack."""
+    if isinstance(geometry, SlitGeometry):
+        pos, wavelength, thetas = np.asarray(geometry.slit_positions), geometry.wavelength, _screen_angles(point)
+    else:
+        groups = _by_slit_count(geometry, point)
+        if len(groups) != 1:
+            raise ValueError(f"a stack needs one slit count, got {[g[1][0].n_slits for g in groups]}")
+        _, layouts, thetas = groups[0]
+        pos = np.array([layout.slit_positions for layout in layouts])
+        wavelength = np.array([layout.wavelength for layout in layouts])
+    return pos, 2.0 * math.pi * np.sin(thetas) / wavelength
+
+
+def _pair_indices(n: int, i, j, quantity: str) -> tuple[np.ndarray, np.ndarray]:
+    """0-based index arrays of 1-based indices into n slits; raises IndexError naming the first bad one."""
     first, second = np.broadcast_arrays(i, j)
     for name, index in (("i", first), ("j", second)):
-        bad = (index < 1) | (index > geometry.n_slits)
+        bad = (index < 1) | (index > n)
         if bad.any():
-            raise IndexError(f"slit index {name}={index[bad][0]} out of range 1..{geometry.n_slits}")
+            raise IndexError(f"slit index {name}={index[bad][0]} out of range 1..{n}")
     same = first == second
     if same.any():
         raise IndexError(f"{quantity} needs two distinct slits, got i=j={first[same][0]}")
@@ -150,27 +170,28 @@ def incidence_angles(geometry: SlitGeometry, point) -> np.ndarray:
     return np.arctan(np.subtract.outer(x, pos) / geometry.screen_distance)
 
 
-def slit_phases(geometry: SlitGeometry, point) -> np.ndarray:
+def slit_phases(geometry: SlitGeometry | Sequence[SlitGeometry], point) -> np.ndarray:
     """Optical phase k*a_k = 2*pi*a_k*sin(theta)/lambda accumulated by each slit's ray.
 
     Only differences are physical; ``pair_phase`` takes them from separations.
     """
-    return np.multiply.outer(_wavenumber(geometry, point), np.asarray(geometry.slit_positions))
+    pos, k = _positions_and_wavenumber(geometry, point)
+    return np.expand_dims(k, -1) * pos
 
 
-def pair_phase(geometry: SlitGeometry, point, i, j) -> float | np.ndarray:
+def pair_phase(geometry: SlitGeometry | Sequence[SlitGeometry], point, i, j) -> float | np.ndarray:
     """Optical phase difference phi_ij = k*(a_j - a_i) = 2*pi*(a_j - a_i)*sin(theta)/lambda.
 
     Taken from the separation, so phi_ij == -phi_ji exactly (k*(-x) = -(k*x)
     in IEEE arithmetic) and a shift that keeps every separation exact leaves
     it unchanged; additive (phi_ik = phi_ij + phi_jk) up to last-bit rounding
     and strictly monotone in sin(theta).  ``i``, ``j`` are 1-based indices or
-    index arrays: the result has shape grid + index shape (a float for a
-    ScreenPoint and scalars); a bad index or i == j raises IndexError naming it.
+    index arrays: the result has shape grid (or stack) + index shape (a float
+    for a ScreenPoint and scalars); a bad index or i == j raises IndexError.
     """
-    first, second = _pair_indices(geometry, i, j, "pair phase")
-    pos = np.asarray(geometry.slit_positions)
-    phases = np.multiply.outer(_wavenumber(geometry, point), pos[second] - pos[first])
+    pos, k = _positions_and_wavenumber(geometry, point)
+    first, second = _pair_indices(pos.shape[-1], i, j, "pair phase")
+    phases = np.reshape(k, np.shape(k) + (1,) * first.ndim) * (pos[..., second] - pos[..., first])
     return phases if phases.ndim else float(phases)
 
 
@@ -180,6 +201,6 @@ def subtended_angle(geometry: SlitGeometry, point: ScreenPoint, i: int, j: int) 
     Diagnostic companion to ``pair_phase``: it tends to 0 as the screen
     recedes while the optical phase stays fixed.
     """
-    first, second = _pair_indices(geometry, i, j, "subtended angle")
+    first, second = _pair_indices(geometry.n_slits, i, j, "subtended angle")
     angles = incidence_angles(geometry, point)
     return float(angles[first] - angles[second])

@@ -111,28 +111,25 @@ class Ensemble:
         object.__setattr__(self, "entries", entries)
 
 
-def tensor(a: Spinor, b: Spinor) -> TwoSpinState:
+def tensor(a: Spinor | np.ndarray, b: Spinor | np.ndarray) -> TwoSpinState | np.ndarray:
     """Product state ``a (x) b`` in the fixed basis order.
 
     The output amplitudes are the outer product (a+b+, a+b-, a-b+, a-b-),
-    so norms multiply: norm(out) = norm(a) * norm(b).
+    so norms multiply: norm(out) = norm(a) * norm(b).  ``(..., 2)`` arrays
+    in place of spinors give a ``(..., 4)`` array of their broadcast shape.
 
     Raises
     ------
     ValueError
         If any input amplitude is non-finite.
     """
-    for name, s in (("a", a), ("b", b)):
-        if not (cmath.isfinite(complex(s.c_plus)) and cmath.isfinite(complex(s.c_minus))):
+    amps = [s.vector() if isinstance(s, Spinor) else np.asarray(s, dtype=complex) for s in (a, b)]
+    for name, s in zip("ab", amps):
+        if not np.isfinite(s).all():
             raise ValueError(f"spinor {name} has a non-finite amplitude")
-    return TwoSpinState(
-        (
-            a.c_plus * b.c_plus,
-            a.c_plus * b.c_minus,
-            a.c_minus * b.c_plus,
-            a.c_minus * b.c_minus,
-        )
-    )
+    product = amps[0][..., :, None] * amps[1][..., None, :]
+    product = product.reshape(product.shape[:-2] + (4,))
+    return TwoSpinState(tuple(product)) if isinstance(a, Spinor) and isinstance(b, Spinor) else product
 
 
 def inner(s: TwoSpinState, t: TwoSpinState) -> complex:

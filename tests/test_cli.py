@@ -184,6 +184,16 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_config_document_that_is_not_an_object_names_config(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        code = main(["simulate", "--config", str(path), "-o", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: config:")
+        assert str(path) in err and "JSON object, got list" in err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize(
         "argv,name",
         [

@@ -313,6 +313,62 @@ def _irregular_layouts(max_slits=8):
 _WAVELENGTHS = st.floats(min_value=2e-7, max_value=8e-7)
 
 
+def _distinct_separations(positions) -> bool:
+    pos = np.asarray(positions)
+    i, j = np.triu_indices(pos.size, 1)
+    return np.unique(pos[j] - pos[i]).size == i.size
+
+
+class TestMultiSlitIntensityStacks:
+    """m layouts of any slit counts with m angles: row k is the one-layout value of layout k at angle k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layouts=st.lists(
+            st.builds(SlitGeometry, _irregular_layouts(6).filter(_distinct_separations), _WAVELENGTHS, st.just(1.0)),
+            min_size=1, max_size=12,
+        ),
+        data=st.data(),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+    )
+    def test_rows_equal_the_scalar_calls_bit_for_bit_on_distinct_separations(self, layouts, data, convention):
+        thetas = np.array(data.draw(st.lists(st.floats(-1.2, 1.2), min_size=len(layouts), max_size=len(layouts))))
+        values = multi_slit_intensity(layouts, thetas, convention)
+        assert values.shape == (len(layouts),)
+        for value, layout, theta in zip(values, layouts, thetas):
+            assert value == multi_slit_intensity(layout, ScreenPoint(theta), convention)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layouts=st.lists(
+            st.builds(
+                SlitGeometry.evenly_spaced,
+                st.integers(2, 12),
+                st.floats(min_value=5e-7, max_value=2e-5),
+                _WAVELENGTHS,
+                st.just(1.0),
+            ),
+            min_size=1, max_size=12,
+        ),
+        data=st.data(),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+    )
+    def test_rows_equal_the_scalar_calls_within_rounding_on_shared_baselines(self, layouts, data, convention):
+        # the one-layout kernel sums a shared baseline once, times its count; the stack sums every pair
+        thetas = np.array(data.draw(st.lists(st.floats(-1.2, 1.2), min_size=len(layouts), max_size=len(layouts))))
+        values = multi_slit_intensity(layouts, thetas, convention)
+        for value, layout, theta in zip(values, layouts, thetas):
+            assert abs(value - multi_slit_intensity(layout, ScreenPoint(theta), convention)) <= 1e-12
+
+    def test_length_mismatch_and_empty_stack(self):
+        layouts = [SlitGeometry.evenly_spaced(n, 2e-6, 500e-9, 1.0) for n in (2, 3)]
+        with pytest.raises(ValueError, match="2 stacked layouts need 2 angles, got shape"):
+            multi_slit_intensity(layouts, np.zeros(3))
+        with pytest.raises(ValueError, match="phase convention"):
+            multi_slit_intensity(layouts, np.zeros(2), "full")
+        assert multi_slit_intensity([], np.zeros(0)).shape == (0,)
+
+
 class TestPairPhaseInvariances:
     """The profile depends on the layout only through its separations and on theta through sin."""
 

@@ -243,6 +243,63 @@ class TestGridForms:
                 function(two_slit, np.array([0.0, bad, 0.1]))
 
 
+@st.composite
+def _layout_stack(draw):
+    """m layouts of one slit count n, with m angles and a few 1-based index pairs."""
+    n = draw(st.integers(2, 6))
+    positions = st.lists(st.floats(-1e-4, 1e-4), min_size=n, max_size=n, unique=True)
+    layouts = draw(st.lists(
+        st.builds(SlitGeometry, positions.map(lambda p: tuple(sorted(p))), st.floats(2e-7, 8e-7), st.just(1.0)),
+        min_size=1, max_size=6,
+    ))
+    thetas = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=len(layouts), max_size=len(layouts))))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=8))
+    i, j = (np.array(column) for column in zip(*pairs))
+    return layouts, thetas, i, j
+
+
+class TestLayoutStacks:
+    """A sequence of m layouts with m angles: row k is layout k at angle k, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_layout_stack())
+    def test_rows_equal_the_per_layout_calls(self, drawn):
+        layouts, thetas, i, j = drawn
+        phases = slit_phases(layouts, thetas)
+        pairs = pair_phase(layouts, thetas, i, j)
+        stacked_pairs = pair_phase(layouts, thetas, np.stack([i, j]), np.stack([j, i]))
+        assert phases.shape == (len(layouts), layouts[0].n_slits)
+        assert pairs.shape == (len(layouts),) + i.shape
+        for k, (layout, theta) in enumerate(zip(layouts, thetas)):
+            point = ScreenPoint(theta)
+            assert np.array_equal(phases[k], slit_phases(layout, point))
+            assert np.array_equal(pairs[k], pair_phase(layout, point, i, j))
+            assert np.array_equal(stacked_pairs[k], pair_phase(layout, point, np.stack([i, j]), np.stack([j, i])))
+            assert pair_phase(layouts, thetas, int(i[0]), int(j[0]))[k] == pair_phase(layout, point, int(i[0]), int(j[0]))
+
+    def test_mixed_slit_counts_raise_naming_them(self):
+        layouts = [SlitGeometry.evenly_spaced(n, 2e-6, 500e-9, 1.0) for n in (2, 3, 2)]
+        with pytest.raises(ValueError, match=r"one slit count, got \[2, 3\]"):
+            slit_phases(layouts, np.zeros(3))
+        with pytest.raises(ValueError, match=r"one slit count, got \[2, 3\]"):
+            pair_phase(layouts, np.zeros(3), 1, 2)
+
+    @pytest.mark.parametrize("thetas", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), 0.1])
+    def test_length_mismatch_raises_naming_both_lengths(self, thetas):
+        layouts = [SlitGeometry.evenly_spaced(3, 2e-6, 500e-9, 1.0)] * 3
+        for call in (lambda: slit_phases(layouts, thetas), lambda: pair_phase(layouts, thetas, 1, 2)):
+            with pytest.raises(ValueError, match="3 stacked layouts need 3 angles, got shape"):
+                call()
+
+    def test_stack_indices_and_angles_are_validated(self):
+        layouts = [SlitGeometry.evenly_spaced(3, 2e-6, 500e-9, 1.0)] * 2
+        with pytest.raises(IndexError, match="slit index j=4 out of range 1..3"):
+            pair_phase(layouts, np.zeros(2), 1, 4)
+        with pytest.raises(ValueError, match="pi/2"):
+            slit_phases(layouts, np.array([0.0, math.pi / 2]))
+
+
 class TestSubtendedAngle:
     def test_symmetric_pair_at_center(self, two_slit):
         expected = 2 * math.atan(1e-6 / 1.0)

@@ -72,6 +72,28 @@ class TestTensor:
         assert abs(product.norm2() - a.norm2() * b.norm2()) <= 1e-12 * max(1.0, a.norm2() * b.norm2())
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        data=st.data(),
+    )
+    def test_stacked_rows_equal_the_spinor_calls(self, shape, data):
+        parts = np.array(data.draw(st.lists(amplitude, min_size=4 * math.prod(shape), max_size=4 * math.prod(shape))))
+        a, b = np.split(parts.reshape(shape + (4,)), 2, axis=-1)
+        product = tensor(a, b)
+        assert product.shape == shape + (4,)
+        for index in np.ndindex(shape):
+            scalar = tensor(Spinor(*a[index]), Spinor(*b[index]))
+            assert np.array_equal(product[index], scalar.vector())
+
+    def test_stacked_broadcasts_and_rejects_a_non_finite_row(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [SQRT_HALF, SQRT_HALF]])
+        assert np.array_equal(tensor(a, np.array([0.0, 1.0])), [[0, 1, 0, 0], [0, 0, 0, 1], [0, SQRT_HALF, 0, SQRT_HALF]])
+        a[1, 0] = np.nan
+        with pytest.raises(ValueError, match="spinor a has a non-finite amplitude"):
+            tensor(a, Spinor(1, 0))
+
+
 class TestInner:
     def test_uv_orthonormal(self):
         u, v = basis_u(), basis_v()

@@ -9,7 +9,7 @@ import pytest
 import spinfringe.fringe
 import spinfringe.rotor
 import spinfringe.verify
-from spinfringe import SlitGeometry, intensity_profile, pair_phase, slit_phases
+from spinfringe import SlitGeometry, classical_intensity, intensity_profile, multi_slit_intensity, pair_phase, slit_phases
 from spinfringe.verify import format_report, run_checks
 
 
@@ -115,6 +115,26 @@ class TestFaultInjection:
         failed = [r.name for r in results if not r.passed]
         assert "multi-slit vs classical oracle (half)" in failed
 
+    def test_wrong_pair_phase_detected(self, monkeypatch):
+        true_phase = spinfringe.geometry.pair_phase
+
+        def skewed(geometry, point, i, j):
+            return true_phase(geometry, point, i, j) * (1 + 1e-7)
+
+        # every binding of the function, as a defect in it would reach them all
+        for module in (spinfringe.geometry, spinfringe.fringe):
+            monkeypatch.setattr(module, "pair_phase", skewed)
+        results = run_checks(scale=0.05)
+        failed = [r.name for r in results if not r.passed]
+        assert "multi-slit vs classical oracle (half)" in failed
+
+    def test_half_convention_in_place_of_paper_detected(self, monkeypatch):
+        # half-convention maxima sit on the even half-wave orders only
+        monkeypatch.setattr(spinfringe.fringe, "_rotation_scale", lambda convention: 0.5)
+        results = run_checks(scale=0.05)
+        failed = [r.name for r in results if not r.passed]
+        assert "fringe maxima at half-wave orders (paper)" in failed
+
 
 class TestStackedChecksEqualTheirLoops:
     """The stacked checks report the error of a loop over each peak or each index tuple."""
@@ -146,3 +166,35 @@ class TestStackedChecksEqualTheirLoops:
         result = spinfringe.verify.check_phase_additivity(np.random.default_rng(11), scale)
         assert max(errors) > 0.0
         assert (result.max_error, result.tolerance) == (max(errors), 8.0 * np.finfo(float).eps * max(bound, 1.0))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.05])
+    def test_multi_slit_oracle_equals_the_per_sample_loop(self, scale):
+        rng, err = np.random.default_rng(5), 0.0
+        for _ in range(spinfringe.verify._count(1000, scale)):
+            layout, point = spinfringe.verify._random_geometry(rng)
+            reference = classical_intensity(slit_phases(layout, point))
+            err = max(err, abs(multi_slit_intensity(layout, point, convention="half") - reference))
+        result = spinfringe.verify.check_multi_slit_oracle(np.random.default_rng(5), scale)
+        assert err > 0.0 and result.max_error == err
+
+    @pytest.mark.parametrize("scale", [1.0, 0.05])
+    def test_phase_antisymmetry_equals_the_per_pair_calls(self, scale):
+        # the stacked pair phase is exact, so a skew of phi_ji would show as a nonzero error here
+        rng, errors = np.random.default_rng(13), [0.0]
+        for _ in range(spinfringe.verify._count(300, scale)):
+            layout, point = spinfringe.verify._random_geometry(rng)
+            for i, j in itertools.combinations(range(1, layout.n_slits + 1), 2):
+                errors.append(abs(pair_phase(layout, point, i, j) + pair_phase(layout, point, j, i)))
+        result = spinfringe.verify.check_phase_antisymmetry(np.random.default_rng(13), scale)
+        assert result.max_error == max(errors) == 0.0
+
+    def test_layout_checks_draw_the_same_samples_as_the_loop(self):
+        # each layout check leaves the generator where the per-sample loop left it
+        for check, count in ((spinfringe.verify.check_multi_slit_oracle, 1000),
+                             (spinfringe.verify.check_phase_antisymmetry, 300),
+                             (spinfringe.verify.check_phase_additivity, 300)):
+            looped, stacked = np.random.default_rng(17), np.random.default_rng(17)
+            for _ in range(spinfringe.verify._count(count, 0.2)):
+                spinfringe.verify._random_geometry(looped)
+            check(stacked, 0.2)
+            assert looped.bit_generator.state == stacked.bit_generator.state
