@@ -9,12 +9,14 @@ geometry   dump per-angle incidence angles and pair phases
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 I/O error.
 Output files are written atomically (temp file + rename) and identical
-configs produce byte-identical files.
+configs produce byte-identical files.  CSV numbers are ``%.16e`` text, which
+a numpy implementation of that format (not a new one) renders per row block.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -46,8 +48,13 @@ from .geometry import incidence_angles, pair_phase, slit_phases
 from .oracle import classical_intensity, independent_intensity
 
 
-#: Fixed 17-significant-digit decimal form; deterministic and lossless.
+#: Fixed 17-significant-digit decimal form; deterministic and lossless.  CSV blocks are
+#: rendered by ``_decimal_parts`` and ``_csv_text``, an implementation of this format, not another.
 _FMT = "%.16e"
+#: The digit engine's fast path takes 1e-280 <= |x| < 1e280, which keeps its power table split-safe.
+_FAST_RANGE = 280
+#: How near a rounding tie the fast path gives up; its scaling error is below 2**-47.
+_TIE_MARGIN = 2.0**-40
 #: What joins consecutive rows of a table, and so consecutive row blocks, per output format.
 _ROW_SEPARATOR = {"csv": "\n", "json": ",\n"}
 
@@ -74,6 +81,88 @@ def compute_profile(config: SimulationConfig) -> FringeProfile:
     return FringeProfile(grid, np.clip(config.i0 * values, 0.0, config.i0), config.i0)
 
 
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The CSV engine's tables, built on first use with exact ``int`` arithmetic: per exponent
+    estimate E, 10**(16 - E) as fl(.), the rounded rest and fl(.)'s Veltkamp halves; then as
+    zero-padded 4-byte words the sign, lead digit and point, ``'%04d' % n`` and ``'e%+03d' % E``.
+    """
+    powers = []
+    for k in range(17 + _FAST_RANGE, 15 - _FAST_RANGE, -1):  # column 0 is E = -1 - _FAST_RANGE
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den  # int / int is correctly rounded
+        hi_num, hi_den = hi.as_integer_ratio()
+        powers.append((hi, (num * hi_den - hi_num * den) / (den * hi_den), *_split(hi)))
+    heads = b"".join(b"%s%d.\0" % (sign, d) for sign in (b"\0", b"-") for d in range(10))
+    quads = b"".join(b"%04d" % n for n in range(10_000))
+    exponents = b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in range(-324, 309))
+    heads, quads, exponents = (np.frombuffer(text, np.uint32) for text in (heads, quads, exponents))
+    return np.array(powers).T.copy(), heads, quads, exponents.reshape(-1, 2).T.copy()
+
+
+def _split(x):
+    """Veltkamp's split of x into high + low halves of at most 26 significant bits each."""
+    high = x * 134217729.0 - (x * 134217729.0 - x)
+    return high, x - high
+
+
+def _decimal_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, E, missed)``: ``_FMT % |x|`` is D's 17 digits as d.ddd...eE; zero gives (0, 0).
+
+    |x| * 10**(16 - E), with E from ``log10``, is a double-double by Dekker's exact
+    two-product.  Its high part is an integer above 2**53, so D = hi + rint(lo) is exact
+    unless lo is within ``_TIE_MARGIN`` of a tie or D leaves (10**16, 10**17), as a wrong E
+    or a power of ten makes it.  Those cells and any outside the fast range are ``missed``
+    and read back from ``_FMT`` itself, so no libm result decides a digit.
+    """
+    size = np.abs(values)
+    fast = (size >= 10.0**-_FAST_RANGE) & (size < 10.0**_FAST_RANGE)
+    size = np.where(fast, size, 1.0)
+    exponent = np.floor(np.log10(size)).astype(np.int64)
+    p_hi, p_lo, p_high, p_low = _digit_tables()[0].take(exponent + _FAST_RANGE + 1, axis=1)
+    high, low = _split(size)
+    hi = size * p_hi
+    lo = ((high * p_high - hi) + high * p_low + low * p_high) + low * p_low + size * p_lo
+    near = np.rint(lo)
+    mantissa = np.minimum(hi, 2.0**62).astype(np.int64) + near.astype(np.int64)  # a cast-safe hi
+    zero = values == 0
+    mantissa[zero], exponent[zero] = 0, 0
+    exact = fast & (np.abs(lo - near) < 0.5 - _TIE_MARGIN) & (mantissa > 10**16) & (mantissa < 10**17)
+    missed = np.flatnonzero(~(exact | zero))
+    texts = [_FMT % value for value in np.abs(values[missed]).tolist()]
+    mantissa[missed], exponent[missed] = [int(t[0] + t[2:18]) for t in texts], [int(t[19:]) for t in texts]
+    return mantissa, exponent, missed
+
+
+def _csv_cells(block: np.ndarray) -> np.ndarray:
+    """A finite (rows, columns) block's ``_FMT`` CSV text as zero-padded 28-byte cells."""
+    _, heads, quads, exponents = _digit_tables()
+    values = block.ravel()
+    words = np.empty((values.size, 7), np.uint32)  # head, 4 quads, exponent; separator in the last byte
+    for start in range(0, values.size, 2**14):  # in chunks whose temporaries stay in cache
+        chunk, cells = values[start:start + 2**14], words[start:start + 2**14]
+        mantissa, exponent, _ = _decimal_parts(chunk)
+        lead = mantissa // 10**16
+        cells[:, 0] = heads.take(lead + 10 * np.signbit(chunk))
+        rest = mantissa - lead * 10**16
+        for column, place in enumerate((10**12, 10**8, 10**4, 1), 1):
+            quad = rest // place
+            cells[:, column] = quads.take(quad)
+            rest -= quad * place
+        cells[:, 5], cells[:, 6] = exponents.take(exponent + 324, axis=1)
+    text = words.view(np.uint8)
+    text[:, 27] = ord(",")
+    text[block.shape[1] - 1::block.shape[1], 27] = ord("\n")
+    text[-1:, 27] = 0
+    return text
+
+
+def _csv_text(block: np.ndarray) -> str:
+    """A finite (rows, columns) block as ``_FMT`` CSV rows, byte for byte what ``%`` writes."""
+    # each step's input is freed once it returns, so at most two copies of the cells are alive
+    return _csv_cells(block).tobytes().translate(None, b"\0").decode("ascii")
+
+
 def render_profile(columns, column_arrays, output_format: str, **scalars) -> str:
     """Render one row block of equal-length 1-D float columns as output-file text.
 
@@ -87,18 +176,18 @@ def render_profile(columns, column_arrays, output_format: str, **scalars) -> str
     the text is byte-identical to ``json.dumps``.  A non-finite value, which
     ``json`` would spell otherwise, raises ``ValueError`` in either format.
     """
-    if output_format == "csv":
-        record = ",".join([_FMT] * len(columns))
-    elif scalars:
-        order = sorted(range(len(columns)), key=columns.__getitem__)
-        fields = ",\n".join(f"      {json.dumps(columns[k]).replace('%', '%%')}: %r" for k in order)
-        record = f"    {{\n{fields}\n    }}"
-        column_arrays = [column_arrays[k] for k in order]
-    else:
-        record = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
     block = np.column_stack(column_arrays)
     if not np.isfinite(block).all():
         raise ValueError("output tables hold finite numbers only")
+    if output_format == "csv":
+        return _csv_text(block)
+    if scalars:
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        fields = ",\n".join(f"      {json.dumps(columns[k]).replace('%', '%%')}: %r" for k in order)
+        record = f"    {{\n{fields}\n    }}"
+        block = block[:, order]
+    else:
+        record = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
     return _ROW_SEPARATOR[output_format].join([record] * len(block)) % tuple(block.ravel().tolist())
 
 

@@ -244,15 +244,19 @@ def check_detection_flatness(scale: float) -> CheckResult:
 
 def check_measurement_weights(rng, scale: float) -> CheckResult:
     err = 0.0
-    for _ in range(_count(1000, scale)):
-        phi = rng.uniform(-10, 10)
-        state = fringe.PairState.from_rotation(phi).as_state()
-        ensemble = fringe.measure_factor(state, factor=int(rng.integers(1, 3)), axis_angle=0.0)
-        weights = sorted(w for w, _ in ensemble.entries)
-        err = max(err, abs(weights[0] - 0.5), abs(weights[-1] - 0.5))
-        err = max(err, abs(sum(w for w, _ in ensemble.entries) - 1.0))
-        for _, entry in ensemble.entries:
-            err = max(err, abs(entry.norm2() - 1.0))
+    for rows in _block_sizes(1000, scale):
+        phi, factors = np.array([(rng.uniform(-10, 10), rng.integers(1, 3)) for _ in range(rows)]).T
+        # one sample per block through the scalar Ensemble form, the rest one stacked call per factor
+        ensemble = fringe.measure_factor(fringe.PairState.from_rotation(phi[0]).as_state(), int(factors[0]))
+        weights, norms = zip(*((w, entry.norm2()) for w, entry in ensemble.entries))
+        err = max(err, _worst(np.subtract(weights, 0.5), sum(weights) - 1.0, np.subtract(norms, 1.0)))
+        for factor in sorted(set(factors[1:].tolist())):
+            states = fringe.PairState.from_rotation(phi[1:][factors[1:] == factor]).as_state()
+            weights, branches = fringe.measure_factor(states, int(factor))
+            squares = np.hypot(branches.real, branches.imag) ** 2  # abs() per amplitude, summed as norm2 sums
+            norms = ((squares[..., 0] + squares[..., 1]) + squares[..., 2]) + squares[..., 3]
+            sums, kept_norms = weights[:, 0] + weights[:, 1], np.where(weights > 0, norms, 1.0)
+            err = max(err, _worst(weights - 0.5, sums - 1.0, kept_norms - 1.0))
     return CheckResult("measurement ensemble weights", err, 1e-12)
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -742,6 +743,73 @@ class TestStreamedTables:
 
         per_row = (traced_peak(100_001) - traced_peak(20_001)) / 80_000
         assert per_row < 100
+
+
+def _csv_cells(values):
+    """``_csv_text`` of the values as one row, split back into cells."""
+    return cli._csv_text(np.array(values, dtype=float).reshape(1, -1)).split(",")
+
+
+#: Powers of ten over the whole float range, each with its two neighbours.
+_POWERS_OF_TEN = [
+    neighbour
+    for power in (float(f"1e{e}") for e in range(-323, 309))
+    for neighbour in (np.nextafter(power, 0.0), power, np.nextafter(power, np.inf))
+]
+
+
+class TestCsvDigits:
+    """CSV cells are ``_FMT`` text: the digit engine's fast path and fallback both give its bytes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    def test_cells_are_percent_16e(self, values):
+        assert _csv_cells(values) == ["%.16e" % value for value in values]
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1e-280, np.nextafter(1e-280, 0.0), 1e280, np.nextafter(1e280, 0.0), np.nextafter(1e280, np.inf),
+        1.7976931348623157e308, 9.999999999999999e22, 9.9999999999999999e-5, 0.1, 1.0 / 3.0,
+        0.5, 2.0**-60, 5.0 * 2.0**-55, 1.0 + 2.0**-52, 2.0**60 + 2.0**8,
+    ])
+    def test_edge_values(self, value):
+        assert _csv_cells([value, -value]) == ["%.16e" % value, "%.16e" % -value]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        assert _csv_cells(_POWERS_OF_TEN) == ["%.16e" % value for value in _POWERS_OF_TEN]
+
+    def test_exact_decimal_ties_round_half_even(self):
+        # dyadic m * 2**-k whose exact expansion has 18 significant digits, the last a 5
+        candidates = [m * 2.0**-k for k in range(1, 80) for m in range(1, 200, 2)]
+        ties = [value for value in candidates if Decimal(value).as_tuple().digits[17:] == (5,)]
+        last_kept = {int(("%.17e" % value)[17]) % 2 for value in ties}
+        assert len(ties) > 50 and last_kept == {0, 1}  # ties toward both an even and an odd digit
+        assert _csv_cells(ties) == ["%.16e" % value for value in ties]
+
+    def test_a_million_random_bit_patterns(self):
+        values = np.random.default_rng(20240811).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)][:999_000].reshape(-1, 4)
+        expected = "\n".join(",".join(["%.16e"] * 4) % tuple(row) for row in values.tolist())
+        assert cli._csv_text(values) == expected
+
+    def test_fallback_catches_what_the_fast_path_cannot_prove(self):
+        # powers of ten, a carry into the next power and out-of-range cells take the fallback
+        values = np.array([1.0, 1e22, 9.999999999999999e22, 5e-324, 1e300, 0.1])
+        assert cli._decimal_parts(values)[2].tolist() == [0, 1, 2, 3, 4]
+        assert _csv_cells(values) == ["%.16e" % value for value in values]
+
+    def test_an_empty_block_renders_as_no_text(self):
+        assert cli.render_profile(["theta", "intensity"], [np.array([]), np.array([])], "csv") == ""
+
+    def test_forced_fallback_writes_the_same_bytes(self, monkeypatch):
+        # a margin of one half sends every nonzero cell to the fallback
+        values = np.random.default_rng(3).standard_normal((50, 3)) * 10.0 ** np.arange(-2, 1)
+        values[0, 0] = -0.0
+        fast_text = cli._csv_text(values)
+        monkeypatch.setattr(cli, "_TIE_MARGIN", 0.5)
+        assert cli._decimal_parts(values.ravel())[2].size == values.size - 1
+        assert cli._csv_text(values) == fast_text
+        assert fast_text == "\n".join(",".join(["%.16e"] * 3) % tuple(row) for row in values.tolist())
 
 
 class TestMainEntry:

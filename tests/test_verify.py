@@ -91,7 +91,22 @@ class TestFaultInjection:
         monkeypatch.setattr(spinfringe.fringe, "measure_factor", skewed)
         results = run_checks(scale=0.05)
         failed = [r.name for r in results if not r.passed]
-        assert failed == ["measurement transmission vs density matrix"]
+        # both checks that evaluate stacked measurements see the skew
+        assert failed == ["measurement ensemble weights", "measurement transmission vs density matrix"]
+
+    def test_wrong_ensemble_form_detected(self, monkeypatch):
+        # the weights check keeps one scalar Ensemble sample per block; a skew of that form alone shows
+        true_measure = spinfringe.fringe.measure_factor
+
+        def skewed(state, factor, axis_angle=0.0):
+            result = true_measure(state, factor, axis_angle)
+            if not isinstance(result, spinfringe.fringe.Ensemble):
+                return result
+            return spinfringe.fringe.Ensemble(((1.0, result.entries[0][1]),))  # one branch kept
+
+        monkeypatch.setattr(spinfringe.fringe, "measure_factor", skewed)
+        results = run_checks(scale=0.05)
+        assert [r.name for r in results if not r.passed] == ["measurement ensemble weights"]
 
     def test_wrong_operator_detected(self, monkeypatch):
         true_op = spinfringe.rotor.apply_pair
@@ -187,6 +202,20 @@ class TestStackedChecksEqualTheirLoops:
                 errors.append(abs(pair_phase(layout, point, i, j) + pair_phase(layout, point, j, i)))
         result = spinfringe.verify.check_phase_antisymmetry(np.random.default_rng(13), scale)
         assert result.max_error == max(errors) == 0.0
+
+    @pytest.mark.parametrize("seed, scale", [(3, 1.0), (4, 0.123), (5, 0.0101)])
+    def test_measurement_weights_equal_the_per_sample_loop(self, seed, scale):
+        looped, err = np.random.default_rng(seed), 0.0
+        for _ in range(spinfringe.verify._count(1000, scale)):
+            state = spinfringe.fringe.PairState.from_rotation(looped.uniform(-10, 10)).as_state()
+            ensemble = spinfringe.fringe.measure_factor(state, factor=int(looped.integers(1, 3)))
+            weights = [w for w, _ in ensemble.entries]
+            err = max(err, *(abs(w - 0.5) for w in weights), abs(sum(weights) - 1.0))
+            err = max(err, *(abs(entry.norm2() - 1.0) for _, entry in ensemble.entries))
+        stacked = np.random.default_rng(seed)
+        result = spinfringe.verify.check_measurement_weights(stacked, scale)
+        assert err > 0.0 and result.max_error == err
+        assert stacked.bit_generator.state == looped.bit_generator.state
 
     def test_layout_checks_draw_the_same_samples_as_the_loop(self):
         # each layout check leaves the generator where the per-sample loop left it
