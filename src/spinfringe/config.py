@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fringe import _check_choice, _check_detection, _rotation_scale
+from .fringe import _check_choice, _check_detection, _rotation_scale, _theta_grid
 from .geometry import ConfigError, SlitGeometry, _check_positive, _checked_thetas, _exact_int
 
 #: Environment variable that redirects relative output paths to a directory.
@@ -76,13 +76,14 @@ class SimulationConfig:
         if self.slit_positions is not None:
             _require(self.slit_count is None and self.separation is None, "slit_positions",
                      "give either slit_positions or slit_count+separation, not both")
-            count, field = len(self.slit_positions), "slit_positions"
+            count, field, span_field = len(self.slit_positions), "slit_positions", "slit_positions"
         else:
             _require(self.slit_count is not None and self.separation is not None,
                      "slit_count", "slit_count and separation must be given together")
-            count, field = self.slit_count, "slit_count"
+            count, field, span_field = self.slit_count, "slit_count", "separation"
         _require(count <= MAX_SLITS, field, f"at most {MAX_SLITS} slits, got {count}")
-        n = self.geometry().n_slits
+        layout = self.geometry()
+        n = layout.n_slits
 
         _as_field("theta_min", _checked_thetas, self.theta_min)
         _as_field("theta_max", _checked_thetas, self.theta_max)
@@ -93,7 +94,13 @@ class SimulationConfig:
         cells = self.samples * (1 + n + n * (n - 1) // 2)
         _require(cells <= MAX_CELLS, "samples",
                  f"{self.samples} samples at {n} slits make {cells} table cells, over {MAX_CELLS}")
-        _as_field("phase_convention", _rotation_scale, self.phase_convention)
+        scale = _as_field("phase_convention", _rotation_scale, self.phase_convention)
+        # the largest numbers the model forms: k, then the rotation angle 2*scale*k*(a_j - a_i)
+        k_max = 2.0 * math.pi * math.sin(max(abs(self.theta_min), abs(self.theta_max))) / self.wavelength
+        _require(math.isfinite(k_max), "wavelength", f"k = 2*pi*sin(theta)/wavelength overflows: {k_max}")
+        span = 2.0 * max(map(abs, layout.slit_positions))  # bounds every |a_j - a_i|
+        angle = k_max * span * (2.0 * scale)
+        _require(math.isfinite(angle), span_field, f"pair rotation angles overflow at k = {k_max:g}: {angle}")
         _as_field("transmitted", _check_choice, self.transmitted)
         _as_field("detection", _check_detection, self.detection, n)
 
@@ -119,7 +126,8 @@ class SimulationConfig:
         )
 
     def theta_grid(self) -> np.ndarray:
-        return np.linspace(self.theta_min, self.theta_max, self.samples)
+        """The screen-angle grid; ConfigError(samples) if the range lacks ``samples`` distinct float64 angles."""
+        return _as_field("samples", _theta_grid, np.linspace(self.theta_min, self.theta_max, self.samples))
 
 
 def _require(condition: bool, field: str, message: str) -> None:
@@ -127,10 +135,10 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(field, message)
 
 
-def _as_field(field: str, check, *args) -> None:
-    """Run one of the model's own checks; its failure becomes ConfigError(field)."""
+def _as_field(field: str, check, *args):
+    """Run one of the model's own checks and return its result; its failure becomes ConfigError(field)."""
     try:
-        check(*args)
+        return check(*args)
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(field, str(exc)) from None
 

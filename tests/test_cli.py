@@ -210,6 +210,33 @@ class TestMalformedInput:
         assert err.startswith(f"config error: {name}:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "geometry"])
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            # fewer distinct float64 angles in the range than samples
+            (["--theta-min", "0.1", "--theta-max", "0.10000000000000003", "--samples", "10"], "samples"),
+            # k = 2*pi*sin(theta)/wavelength overflows
+            (["--wavelength", "1e-320"], "wavelength"),
+            # k*(a_j - a_i) overflows; in the paper convention only the doubled rotation angle does
+            (["--slit-count", "3", "--separation", "1e308"], "separation"),
+            (["--slit-positions=-4e307,4e307", "--wavelength", "1.238", "--phase-convention", "paper"],
+             "slit_positions"),
+        ],
+    )
+    def test_unrepresentable_grid_or_phase_is_config_error(self, tmp_path, capsys, command, argv, name):
+        code = main([command, *argv, "-o", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {name}:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_doubled_rotation_angle_fits_in_the_half_convention(self, tmp_path):
+        # the layout the paper convention rejects above keeps finite phases at half the angle
+        argv = ["simulate", "--slit-positions=-4e307,4e307", "--wavelength", "1.238", "--samples", "11"]
+        assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 0
+
     @pytest.mark.parametrize("argv,flag", [(["--detection", "x"], "--detection"),
                                            (["--slit-positions", "1e-6,b"], "--slit-positions")])
     def test_unparsable_flag_is_usage_error(self, capsys, argv, flag):

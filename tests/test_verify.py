@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import spinfringe.fringe
+import spinfringe.oracle
+import spinfringe.qstate
 import spinfringe.rotor
 import spinfringe.verify
 from spinfringe import SlitGeometry, classical_intensity, intensity_profile, multi_slit_intensity, pair_phase, slit_phases
@@ -149,6 +151,47 @@ class TestFaultInjection:
         results = run_checks(scale=0.05)
         failed = [r.name for r in results if not r.passed]
         assert "fringe maxima at half-wave orders (paper)" in failed
+
+
+def _nan_everywhere(true_fn):
+    """``true_fn`` with every entry of its result (each part of a tuple) replaced by NaN."""
+    def faulted(*args, **kwargs):
+        result = true_fn(*args, **kwargs)
+        if isinstance(result, tuple):
+            return tuple(np.full(np.shape(part), np.nan) for part in result)
+        return np.full(np.shape(result), np.nan)
+    return faulted
+
+
+def _nan_in_the_last_partial_block(true_fn):
+    """``pair_on_u`` with NaN in the last row of the last, partial block of 10,000 samples at scale 0.123."""
+    partial = round(10_000 * 0.123) % spinfringe.verify._BLOCK_ROWS
+
+    def faulted(alpha, beta):
+        c_u, c_v = true_fn(alpha, beta)
+        if np.shape(alpha) == (partial,):
+            c_u = c_u.copy()
+            c_u[-1] = np.nan
+        return c_u, c_v
+    return faulted
+
+
+class TestNaNFails:
+    """A law that yields NaN fails its own check with max_error=nan, whatever the fold's shape."""
+
+    @pytest.mark.parametrize("module, name, fault, check", [
+        (spinfringe.qstate, "tensor", _nan_everywhere, "tensor norm product"),
+        (spinfringe.rotor, "pair_on_u", _nan_in_the_last_partial_block, "u/v transformation law"),
+        (spinfringe.oracle, "pairwise_identity_check", _nan_everywhere, "pairwise identity N=2..6"),
+        (spinfringe.oracle, "classical_intensity", _nan_everywhere, "multi-slit vs classical oracle (half)"),
+    ], ids=["row-block", "last-partial-block", "pairwise-n-loop", "layout-stack"])
+    def test_nan_law_fails_only_its_check(self, monkeypatch, module, name, fault, check):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        results = run_checks(scale=0.123)
+        assert [r.name for r in results if not r.passed] == [check]
+        assert math.isnan(next(r.max_error for r in results if r.name == check))
+        line = next(line for line in format_report(results).splitlines() if check in line)
+        assert line.startswith("FAIL") and "max_error=nan" in line
 
 
 class TestStackedChecksEqualTheirLoops:
