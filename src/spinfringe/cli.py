@@ -7,21 +7,24 @@ verify     run the self-check battery; exit 0 iff every law holds
 compare    write per-angle model vs classical-oracle intensities
 geometry   dump per-angle incidence angles and pair phases
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 I/O error.
-Output files are written atomically (temp file + rename) and identical
-configs produce byte-identical files.  CSV numbers are ``%.16e`` text, which
-a numpy implementation of that format (not a new one) renders per row block.
+Exit codes: 0 success, 1 verification failure, 2 config error (such as a screen
+distance whose offsets (x - a_k)/L overflow), 3 I/O error.  Output files are
+written atomically (temp file + rename) with the mode ``open(path, "w")`` gives,
+or the replaced file's own, and identical configs produce byte-identical files.
+CSV numbers are ``%.16e`` text, which a numpy implementation of that format (not
+a new one) renders per row block; ``json.dumps`` writes the JSON frame.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import re
+import stat
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -194,21 +197,14 @@ def render_profile(columns, column_arrays, output_format: str, **scalars) -> str
 def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:
     """The text before and after a table's rows: the CSV header, or the JSON opening and closing.
 
-    JSON ``scalars`` are numbers or strings; those whose keys sort before the
-    table's key (``samples``, or ``rows`` beside ``columns``) open the
-    document, the rest close it, as ``json.dumps(sort_keys=True)`` orders them.
+    ``json.dumps`` writes the JSON document, ``scalars`` or ``columns``, with ``Infinity`` for its rows.
     """
     if output_format == "csv":
         return ",".join(columns) + "\n", "\n"
-    if scalars:
-        table_key, fields = "samples", {key: json.dumps(value) for key, value in scalars.items()}
-    else:
-        names = ",\n".join(f"    {json.dumps(name)}" for name in columns)
-        table_key, fields = "rows", {"columns": f"[\n{names}\n  ]"}
-    fields = sorted(fields.items())
-    head = "".join(f"  {json.dumps(key)}: {text},\n" for key, text in fields if key < table_key)
-    tail = "".join(f",\n  {json.dumps(key)}: {text}" for key, text in fields if key > table_key)
-    return f'{{\n{head}  "{table_key}": [\n', f"\n  ]{tail}\n}}\n"
+    key, document = ("samples", scalars) if scalars else ("rows", {"columns": columns})
+    text = json.dumps({**document, key: float("inf")}, sort_keys=True, indent=2)
+    head, _, tail = text.partition(f'"{key}": Infinity')  # no finite number or escaped string renders so
+    return f'{head}"{key}": [\n', f"\n  ]{tail}\n"
 
 
 def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
@@ -219,15 +215,19 @@ def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
     chunk per ``_row_blocks`` block and the tail go into the temp file in turn,
     so neither the text nor a function's table is ever held whole.  Any
     failure removes the temp file and leaves a file at the path as it was.
+    A new file gets the mode ``open(path, "w")`` gives; an overwritten one keeps its own.
     """
     count = config.samples if callable(table) else len(table[0])
     block_of = table if callable(table) else lambda rows: [column[rows] for column in table]
     head, tail = _frame(columns, config.output_format, scalars)
     path = resolve_output_path(config)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies, as in open(path, "w")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            with contextlib.suppress(FileNotFoundError):  # an overwritten file keeps its mode
+                os.chmod(tmp_name, stat.S_IMODE(os.stat(path).st_mode))
             handle.write(head)
             for rows in _row_blocks(count, len(columns)):
                 if rows.start:
@@ -236,10 +236,8 @@ def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
             handle.write(tail)
         os.replace(tmp_name, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise
     return path
 

@@ -96,11 +96,15 @@ class SimulationConfig:
                  f"{self.samples} samples at {n} slits make {cells} table cells, over {MAX_CELLS}")
         scale = _as_field("phase_convention", _rotation_scale, self.phase_convention)
         # the largest numbers the model forms: k, then the rotation angle 2*scale*k*(a_j - a_i)
-        k_max = 2.0 * math.pi * math.sin(max(abs(self.theta_min), abs(self.theta_max))) / self.wavelength
+        theta = max(abs(self.theta_min), abs(self.theta_max))
+        k_max = 2.0 * math.pi * math.sin(theta) / self.wavelength
         _require(math.isfinite(k_max), "wavelength", f"k = 2*pi*sin(theta)/wavelength overflows: {k_max}")
         span = 2.0 * max(map(abs, layout.slit_positions))  # bounds every |a_j - a_i|
         angle = k_max * span * (2.0 * scale)
         _require(math.isfinite(angle), span_field, f"pair rotation angles overflow at k = {k_max:g}: {angle}")
+        # and 2*(L*tan(theta) + max|a_k|)/L bounds every (x - a_k)/L, with room for ulps of np.tan
+        reach = (2.0 * self.screen_distance * math.tan(theta) + span) / self.screen_distance
+        _require(math.isfinite(reach), "screen_distance", f"screen offsets (x - a_k)/L overflow: {reach}")
         _as_field("transmitted", _check_choice, self.transmitted)
         _as_field("detection", _check_detection, self.detection, n)
 

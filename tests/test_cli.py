@@ -232,6 +232,22 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "geometry"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--screen-distance", "1e-320"],  # (x - a_k)/L overflows in the divide
+            ["--screen-distance", "1e308", "--theta-max", "1.5"],  # x = L*tan(theta) overflows
+        ],
+    )
+    def test_overflowing_screen_offsets_are_config_error(self, tmp_path, capsys, command, argv):
+        code = main([command, *argv, "-o", str(tmp_path / "out.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert re.fullmatch(r"config error: screen_distance: [^\n]*\n", captured.err)
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_doubled_rotation_angle_fits_in_the_half_convention(self, tmp_path):
         # the layout the paper convention rejects above keeps finite phases at half the angle
         argv = ["simulate", "--slit-positions=-4e307,4e307", "--wavelength", "1.238", "--samples", "11"]
@@ -675,6 +691,8 @@ class TestRowBlocks:
 
 #: Floats whose shortest repr has an exponent, a sign or all 17 digits.
 _EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, 1.7976931348623157e308)
+#: Pieces of string scalars that JSON escapes, a ``%`` template would read, or that spell the table's placeholder.
+_JSON_HAZARDS = ('"', "\\", "%", "%r", "\n", "Infinity", '"samples": Infinity', '"rows": Infinity')
 
 
 def _one_shot_text(columns, arrays, output_format, scalars):
@@ -702,15 +720,23 @@ class TestStreamedTables:
         drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
         scalar_keys=st.lists(st.sampled_from(["a", "i0", "max_abs_diff", "samplea", "samplez", "zeta"]),
                              min_size=1, max_size=3, unique=True),
+        scalar_texts=st.lists(
+            st.one_of(st.none(), st.text(), st.lists(st.sampled_from(_JSON_HAZARDS), max_size=4).map("".join)),
+            min_size=3, max_size=3,
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_streamed_text_equals_the_one_shot_text(self, layout, rows, columns, drawn, scalar_keys, seed):
+    def test_streamed_text_equals_the_one_shot_text(
+        self, layout, rows, columns, drawn, scalar_keys, scalar_texts, seed
+    ):
         rng = np.random.default_rng(seed)
         table = rng.standard_normal((rows, len(columns))) * 10.0 ** rng.integers(-300, 300, (rows, len(columns)))
         planted = [*_EDGE_VALUES, *drawn][:table.size]
         table.flat[rng.choice(table.size, len(planted), replace=False)] = planted
         arrays = list(table.T)
-        scalars = {key: float(rng.standard_normal()) for key in scalar_keys} if layout == "samples" else {}
+        # a scalar is a number or a string; None draws a number
+        scalars = {key: float(rng.standard_normal()) if text is None else text
+                   for key, text in zip(scalar_keys, scalar_texts)} if layout == "samples" else {}
         output_format = "csv" if layout == "csv" else "json"
         with tempfile.TemporaryDirectory() as tmp:
             config = merge_overrides(
@@ -719,6 +745,22 @@ class TestStreamedTables:
             )
             written = _write_table(config, columns, arrays, **scalars).read_bytes()
         assert written == _one_shot_text(columns, arrays, output_format, scalars).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["simulate", "--sg-factor", "2", "--sg-axis-angle", "0.3"],
+            ["compare", "--slit-count", "3", "--separation", "2e-6"],
+            ["compare", "--slit-count", "3", "--separation", "2e-6", "--detection", "1,3"],
+            ["geometry", "--slit-count", "40", "--separation", "1e-6", "--samples", "700"],  # several blocks
+        ],
+    )
+    def test_command_json_is_json_dumps_of_its_document(self, tmp_path, argv):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--output-format", "json", "-o", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_failure_mid_stream_leaves_the_old_file(self, tmp_path, monkeypatch, capsys, output_format):
@@ -893,6 +935,39 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "umask,existing,expected",
+        [(0o022, None, 0o644), (0o077, None, 0o600), (0o022, 0o640, 0o640), (0o077, 0o640, 0o640)],
+        ids=["new-022", "new-077", "0640-022", "0640-077"],
+    )
+    def test_output_file_mode(self, tmp_path, subprocess_env, umask, existing, expected):
+        # a new file gets the mode open(path, "w") gives, an overwritten one keeps its own;
+        # the umask is never changed, and the temp file sits beside the output as *.tmp
+        out = tmp_path / "profile.csv"
+        if existing is not None:
+            out.write_text("old\n")
+            out.chmod(existing)
+        child = (
+            "import os, sys\n"
+            f"os.umask({umask})\n"
+            "def no_umask(mask): raise AssertionError('umask changed')\n"
+            "os.umask = no_umask\n"
+            "replace = os.replace\n"
+            "def traced_replace(src, dst): print('temp', src); replace(src, dst)\n"
+            "os.replace = traced_replace\n"
+            "from spinfringe.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "simulate", "--samples", "3", "-o", str(out)],
+            capture_output=True, text=True, cwd=tmp_path, env=subprocess_env,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        temp = Path(proc.stdout.splitlines()[0].removeprefix("temp "))
+        assert temp.parent == out.parent and temp.name.startswith("profile.csv.") and temp.suffix == ".tmp"
+        assert out.stat().st_mode & 0o7777 == expected
+        assert sorted(tmp_path.iterdir()) == [out]
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
