@@ -32,6 +32,7 @@ import numpy as np
 from . import verify as verify_mod
 from .config import (
     _FIELD_NAMES,
+    OUTPUT_FORMATS,
     ConfigError,
     SimulationConfig,
     default_config,
@@ -40,6 +41,8 @@ from .config import (
     resolve_output_path,
 )
 from .fringe import (
+    PHASE_CONVENTIONS,
+    TRANSMITTED_CHOICES,
     FringeProfile,
     _row_blocks,
     ensemble_transmission,
@@ -293,8 +296,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta-min", type=float, help="lower screen angle in radians")
     parser.add_argument("--theta-max", type=float, help="upper screen angle in radians")
     parser.add_argument("--samples", type=int, help="number of grid points (>= 2)")
-    parser.add_argument("--phase-convention", choices=["paper", "half"], help="fringe phase convention")
-    parser.add_argument("--transmitted", choices=["u", "v"], help="which invariant state reaches the screen")
+    parser.add_argument("--phase-convention", choices=PHASE_CONVENTIONS, help="fringe phase convention")
+    parser.add_argument("--transmitted", choices=TRANSMITTED_CHOICES, help="which invariant state reaches the screen")
     parser.add_argument(
         "--detection",
         type=_float_list,
@@ -304,7 +307,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sg-factor", type=int, choices=[1, 2], help="tensor factor measured by the SG stage")
     parser.add_argument("--sg-axis-angle", type=float, help="SG stage measurement axis in radians")
     parser.add_argument("--i0", type=float, help="intensity scale")
-    parser.add_argument("--output-format", choices=["csv", "json"], help="output file format")
+    parser.add_argument("--output-format", choices=OUTPUT_FORMATS, help="output file format")
     parser.add_argument("-o", "--output", dest="output_path", metavar="PATH", help="output file path")
 
 
@@ -345,16 +348,13 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     config = load_config(args.config) if args.config else default_config()
-    config = merge_overrides(config, _overrides_from_args(args))
-    config.validate()
-    return config
+    return merge_overrides(config, _overrides_from_args(args))
 
 
-def run_verify(stream=None) -> int:
+def run_verify() -> int:
     """Print the law-check report; return 0 iff every check passed."""
-    stream = stream if stream is not None else sys.stdout
     results = verify_mod.run_checks()
-    print(verify_mod.format_report(results), file=stream)
+    print(verify_mod.format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
 

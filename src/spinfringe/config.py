@@ -4,8 +4,11 @@ All quantities are fixed SI units (meters, radians); no unit inference.  The
 slit layout is given either as explicit ``slit_positions`` or as
 ``slit_count`` + ``separation`` (centered, evenly spaced) -- exactly one
 form.  Flag overrides win over file values; overriding one slit form clears
-the other.  Each field is converted once, by its entry in ``_CONVERTERS``;
-a rule the model already enforces is checked by calling the model's check.
+the other.  Each field is converted once, by its entry in ``_CONVERTERS``:
+number fields reject booleans and string fields reject non-strings.  A rule
+the model already enforces is checked by calling the model's check, among
+them the theta-grid rule and the Stern-Gerlach stage's factor, axis and
+slit-count rules.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fringe import _check_choice, _check_detection, _rotation_scale, _theta_grid
-from .geometry import ConfigError, SlitGeometry, _check_positive, _checked_thetas, _exact_int
+from . import fringe
+from .geometry import ConfigError, ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, _exact_int
 
 #: Environment variable that redirects relative output paths to a directory.
 OUTPUT_DIR_ENV = "SPINFRINGE_OUTPUT_DIR"
@@ -69,9 +72,12 @@ class SimulationConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the offending field on any violation.
 
-        Only the rules that belong to the config itself are written here;
-        the layout, angle, convention, choice and detection rules are the
-        model's own checks, run on the config's values.
+        Only the rules that belong to the config itself are written here.
+        The layout, angle, grid, convention, choice, detection and SG-stage
+        rules are the model's own checks, run on the config's values: the
+        grid is ``_theta_grid`` on the config's linspace, and the SG stage
+        runs its model path at theta = 0 (``two_slit_state_at``, then
+        ``measure_factor`` of that state, u, with its factor and axis).
         """
         if self.slit_positions is not None:
             _require(self.slit_count is None and self.separation is None, "slit_positions",
@@ -94,7 +100,8 @@ class SimulationConfig:
         cells = self.samples * (1 + n + n * (n - 1) // 2)
         _require(cells <= MAX_CELLS, "samples",
                  f"{self.samples} samples at {n} slits make {cells} table cells, over {MAX_CELLS}")
-        scale = _as_field("phase_convention", _rotation_scale, self.phase_convention)
+        _as_field("samples", fringe._theta_grid, np.linspace(self.theta_min, self.theta_max, self.samples))
+        scale = _as_field("phase_convention", fringe._rotation_scale, self.phase_convention)
         # the largest numbers the model forms: k, then the rotation angle 2*scale*k*(a_j - a_i)
         theta = max(abs(self.theta_min), abs(self.theta_max))
         k_max = 2.0 * math.pi * math.sin(theta) / self.wavelength
@@ -105,16 +112,13 @@ class SimulationConfig:
         # and 2*(L*tan(theta) + max|a_k|)/L bounds every (x - a_k)/L, with room for ulps of np.tan
         reach = (2.0 * self.screen_distance * math.tan(theta) + span) / self.screen_distance
         _require(math.isfinite(reach), "screen_distance", f"screen offsets (x - a_k)/L overflow: {reach}")
-        _as_field("transmitted", _check_choice, self.transmitted)
-        _as_field("detection", _check_detection, self.detection, n)
+        _as_field("transmitted", fringe._check_choice, self.transmitted)
+        _as_field("detection", fringe._check_detection, self.detection, n)
 
         if self.sg_stage is not None:
             _require(not self.detection, "sg_stage", "cannot be combined with detection")
-            _require(self.sg_stage.factor in (1, 2),
-                     "sg_stage", f"factor must be 1 or 2, got {self.sg_stage.factor}")
-            _require(math.isfinite(self.sg_stage.axis_angle),
-                     "sg_stage", f"axis_angle must be finite, got {self.sg_stage.axis_angle}")
-            _require(n == 2, "sg_stage", f"requires exactly 2 slits, got {n}")
+            state = _as_field("sg_stage", fringe.two_slit_state_at, layout, ScreenPoint(0.0)).as_state()
+            _as_field("sg_stage", fringe.measure_factor, state, self.sg_stage.factor, self.sg_stage.axis_angle)
 
         _check_positive("i0", self.i0)
         _require(self.output_format in OUTPUT_FORMATS,
@@ -130,8 +134,8 @@ class SimulationConfig:
         )
 
     def theta_grid(self) -> np.ndarray:
-        """The screen-angle grid; ConfigError(samples) if the range lacks ``samples`` distinct float64 angles."""
-        return _as_field("samples", _theta_grid, np.linspace(self.theta_min, self.theta_max, self.samples))
+        """The screen-angle grid of ``samples`` evenly spaced angles; ``validate()`` has checked it."""
+        return np.linspace(self.theta_min, self.theta_max, self.samples)
 
 
 def _require(condition: bool, field: str, message: str) -> None:
@@ -159,9 +163,6 @@ def config_from_dict(data: dict, source: str = "the document") -> SimulationConf
     """Build a validated config from a parsed JSON document; ``source`` names it in errors."""
     if not isinstance(data, dict):
         raise ConfigError("config", f"{source} must hold a JSON object, got {type(data).__name__}")
-    unknown = set(data) - _FIELD_NAMES
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown field")
     merged = merge_overrides(default_config(), data)
     merged.validate()
     return merged
@@ -180,12 +181,26 @@ def load_config(path: str | Path) -> SimulationConfig:
     return config_from_dict(data, source=str(path))
 
 
+def _number(value) -> float:
+    """A number as float; bools raise TypeError, as in ``_exact_int``."""
+    if isinstance(value, bool):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _text(value) -> str:
+    """A string as given; any other value raises TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"not a string: {value!r}")
+    return value
+
+
 #: The one conversion of each plain field from a JSON value or a parsed flag.
 _CONVERTERS = {
-    **dict.fromkeys(("wavelength", "screen_distance", "separation", "theta_min", "theta_max", "i0"), float),
-    **dict.fromkeys(("phase_convention", "transmitted", "output_format", "output_path"), str),
+    **dict.fromkeys(("wavelength", "screen_distance", "separation", "theta_min", "theta_max", "i0"), _number),
+    **dict.fromkeys(("phase_convention", "transmitted", "output_format", "output_path"), _text),
     **dict.fromkeys(("slit_count", "samples"), _exact_int),
-    "slit_positions": lambda values: tuple(float(a) for a in values),
+    "slit_positions": lambda values: tuple(map(_number, values)),
     "detection": lambda values: tuple(_exact_int(i) for i in values),
 }
 
@@ -231,7 +246,7 @@ def _coerce_sg_stage(value, current: SternGerlachStage | None) -> SternGerlachSt
         raise ConfigError("sg_stage", "factor is required")
     axis = value.get("axis_angle", current.axis_angle if current else 0.0)
     try:
-        return SternGerlachStage(factor=_exact_int(factor), axis_angle=float(axis))
+        return SternGerlachStage(factor=_exact_int(factor), axis_angle=_number(axis))
     except (TypeError, ValueError):
         raise ConfigError("sg_stage", f"factor/axis_angle must be numbers, got {value!r}") from None
 

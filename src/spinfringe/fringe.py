@@ -236,15 +236,18 @@ def multi_slit_intensity(
         phases = pair_phase(layouts, thetas, i + 1, j + 1)
         # |phi_ij| = |k|*(a_j - a_i) grows with the separation; equal values may go in any order
         ordered = np.take_along_axis(phases, np.argsort(np.abs(phases), axis=-1), axis=-1)
-        values[rows] = (n + 2.0 * _cosine_sum(ordered, scale)) / n**2
+        values[rows] = _cosine_sum(ordered, scale, n)
     return np.clip(values, 0.0, 1.0)
 
 
-def _cosine_sum(phases: np.ndarray, scale: float, counts=1, out=None) -> np.ndarray:
-    """In-place row sums of counts*cos(2*scale*phi), column by column, of a C-contiguous (rows, pairs) array."""
+def _cosine_sum(phases: np.ndarray, scale: float, n: int, counts=1) -> np.ndarray:
+    """The pairwise rule (n + 2*sum(counts*cos(2*scale*phi)))/n^2 per row of an n-slit layout's pair phases.
+
+    ``phases`` is a C-contiguous (rows, pairs) array; it is overwritten, and each row is summed column by column.
+    """
     np.cos(np.multiply(phases, 2.0 * scale, out=phases), out=phases)
     phases *= counts
-    return phases.sum(axis=-1, out=out)
+    return (n + 2.0 * phases.sum(axis=-1)) / n**2
 
 
 def intensity_profile(
@@ -282,12 +285,11 @@ def intensity_profile(
         pos = np.asarray(geometry.slit_positions)
         _, shared, counts = np.unique(pos[j] - pos[i], return_index=True, return_counts=True)
         i, j = i[shared] + 1, j[shared] + 1  # one 1-based pair per distinct baseline
-        acc = np.empty(grid.shape)
+        values = np.empty(grid.shape)
         rows = max(1, _BLOCK_CELLS // counts.size)  # cells, no row cap: a 2-slit grid is one block
         for start in range(0, grid.size, rows):
             block = slice(start, start + rows)
-            _cosine_sum(pair_phase(geometry, grid[block], i, j), scale, counts, out=acc[block])
-        values = (n + 2.0 * acc) / n**2
+            values[block] = _cosine_sum(pair_phase(geometry, grid[block], i, j), scale, n, counts)
         if choice == "v":
             values = 1.0 - values
     return FringeProfile(grid, np.clip(i0 * values, 0.0, i0), i0)

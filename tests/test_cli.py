@@ -110,6 +110,11 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error: samples:")
         assert not out.exists()
 
+    def test_theta_range_without_samples_distinct_angles_names_samples(self):
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict({"theta_min": 0.0, "theta_max": 5e-324})
+        assert excinfo.value.field == "samples"
+
     def test_positions_not_increasing(self):
         config = merge_overrides(default_config(), {"slit_positions": [1e-6, -1e-6]})
         with pytest.raises(ConfigError) as excinfo:
@@ -171,6 +176,10 @@ class TestMalformedInput:
             ({"slit_positions": 5}, "slit_positions"),
             ({"wavelength": "abc"}, "wavelength"),
             ({"sg_stage": {"factor": 1.5}}, "sg_stage"),
+            ({"slit_positions": [False, True]}, "slit_positions"),
+            ({"wavelength": True}, "wavelength"),
+            ({"sg_stage": {"factor": 1, "axis_angle": True}}, "sg_stage"),
+            ({"output_path": True}, "output_path"),
         ],
     )
     def test_config_file_value(self, tmp_path, capsys, fields, field):
@@ -314,6 +323,14 @@ def _flag_and_file_inputs():
     )
 
 
+def _outcome(build):
+    """What ``build()`` gives: its config, or the field its ConfigError names."""
+    try:
+        return build()
+    except ConfigError as exc:
+        return exc.field
+
+
 class TestFlagsMatchFiles:
     @settings(max_examples=100, deadline=None)
     @given(_flag_and_file_inputs())
@@ -342,9 +359,13 @@ class TestFlagsMatchFiles:
             else:
                 argv.append(f"--{name.replace('_', '-')}={value if isinstance(value, str) else repr(value)}")
 
-        from_flags = _config_from_args(build_parser().parse_args(argv))
-        from_file = config_from_dict(json.loads(json.dumps(document)))
-        assert from_flags == from_file
+        def from_flags():
+            config = _config_from_args(build_parser().parse_args(argv))
+            config.validate()
+            return config
+
+        # equal configs, or a ConfigError naming the same field (a theta range too narrow for samples)
+        assert _outcome(from_flags) == _outcome(lambda: config_from_dict(json.loads(json.dumps(document))))
 
 
 class TestConfigMerging:
