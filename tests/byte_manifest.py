@@ -85,6 +85,13 @@ CASES = {
             ["geometry", "--slit-count", "7", "--samples", "201", "--output-format", fmt, "-o", f"out.{fmt}"], None)
         for fmt in ("csv", "json")
     },
+    # JSON numbers: zeros and powers of two (abs_diff), integer digits and 3-digit exponents
+    "compare-plain-json": (["compare", "--samples", "401", "--output-format", "json", "-o", "out.json"], None),
+    **{
+        f"simulate-i0-{i0}-json": (
+            ["simulate", "--samples", "401", "--i0", i0, "--output-format", "json", "-o", "out.json"], None)
+        for i0 in ("12345.678", "1e200", "3e-250")
+    },
     "irregular-64-simulate": (["simulate", "--config", "config.json", "-o", "out.csv"], _IRREGULAR),
     "irregular-64-compare": (["compare", "--config", "config.json", "-o", "out.csv"], _IRREGULAR),
 }
