@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 config error (such as a screen
 distance whose offsets (x - a_k)/L overflow), 3 I/O error.  Output files are
 written atomically (temp file + rename) with the mode ``open(path, "w")`` gives,
 or the replaced file's own, and identical configs produce byte-identical files.
-CSV numbers are ``%.16e`` text, which a numpy implementation of that format (not
-a new one) renders per row block; ``json.dumps`` writes the JSON frame.
+CSV numbers (``%.16e``) and JSON numbers (``repr``) are rendered per row block by
+a numpy implementation of that format (not a new one); ``json.dumps`` writes the JSON frame.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import re
@@ -59,7 +60,7 @@ from .oracle import classical_intensity, independent_intensity
 _FMT = "%.16e"
 #: The digit engine's fast path takes 1e-280 <= |x| < 1e280, which keeps its power table split-safe.
 _FAST_RANGE = 280
-#: How near a rounding tie the fast path gives up; its scaling error is below 2**-47.
+#: How near a rounding tie or a gap's edge the fast path gives up; its scaling error is below 2**-47.
 _TIE_MARGIN = 2.0**-40
 #: What joins consecutive rows of a table, and so consecutive row blocks, per output format.
 _ROW_SEPARATOR = {"csv": "\n", "json": ",\n"}
@@ -112,14 +113,15 @@ def _split(x):
     return high, x - high
 
 
-def _decimal_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(D, E, missed)``: ``_FMT % |x|`` is D's 17 digits as d.ddd...eE; zero gives (0, 0).
+def _decimal_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, E, missed, residual)``: ``_FMT % |x|`` is D's 17 digits as d.ddd...eE; zero gives (0, 0).
 
     |x| * 10**(16 - E), with E from ``log10``, is a double-double by Dekker's exact
     two-product.  Its high part is an integer above 2**53, so D = hi + rint(lo) is exact
     unless lo is within ``_TIE_MARGIN`` of a tie or D leaves (10**16, 10**17), as a wrong E
     or a power of ten makes it.  Those cells and any outside the fast range are ``missed``
-    and read back from ``_FMT`` itself, so no libm result decides a digit.
+    and read back from ``_FMT`` itself, so no libm result decides a digit.  ``residual`` is
+    y - D = lo - rint(lo) for y = |x| * 10**(16 - E), meaningless in missed cells.
     """
     size = np.abs(values)
     fast = (size >= 10.0**-_FAST_RANGE) & (size < 10.0**_FAST_RANGE)
@@ -133,11 +135,12 @@ def _decimal_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     mantissa = np.minimum(hi, 2.0**62).astype(np.int64) + near.astype(np.int64)  # a cast-safe hi
     zero = values == 0
     mantissa[zero], exponent[zero] = 0, 0
-    exact = fast & (np.abs(lo - near) < 0.5 - _TIE_MARGIN) & (mantissa > 10**16) & (mantissa < 10**17)
+    residual = lo - near
+    exact = fast & (np.abs(residual) < 0.5 - _TIE_MARGIN) & (mantissa > 10**16) & (mantissa < 10**17)
     missed = np.flatnonzero(~(exact | zero))
     texts = [_FMT % value for value in np.abs(values[missed]).tolist()]
     mantissa[missed], exponent[missed] = [int(t[0] + t[2:18]) for t in texts], [int(t[19:]) for t in texts]
-    return mantissa, exponent, missed
+    return mantissa, exponent, missed, residual
 
 
 def _csv_cells(block: np.ndarray) -> np.ndarray:
@@ -147,7 +150,7 @@ def _csv_cells(block: np.ndarray) -> np.ndarray:
     words = np.empty((values.size, 7), np.uint32)  # head, 4 quads, exponent; separator in the last byte
     for start in range(0, values.size, 2**14):  # in chunks whose temporaries stay in cache
         chunk, cells = values[start:start + 2**14], words[start:start + 2**14]
-        mantissa, exponent, _ = _decimal_parts(chunk)
+        mantissa, exponent, *_ = _decimal_parts(chunk)
         lead = mantissa // 10**16
         cells[:, 0] = heads.take(lead + 10 * np.signbit(chunk))
         rest = mantissa - lead * 10**16
@@ -169,6 +172,85 @@ def _csv_text(block: np.ndarray) -> str:
     return _csv_cells(block).tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _shortest_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(M, E, missed)``: ``repr(|x|)`` is M's digits, less trailing zeros, as d.ddd...eE; zero gives (0, 0).
+
+    ``repr`` is the shortest decimal that reads back as x, the nearest if several.  x's half-gaps,
+    y * 2**-54 / f in units of D's last digit (y = D + residual, f frexp's fraction), halved below a
+    power of two, lie in [0.555, 11.1]: D fits, and of the candidates 10 or 100 apart the nearer that
+    fits wins.  Cells near a gap's edge or a tie, rounding up to 10**17 or missed read ``repr`` itself.
+    """
+    mantissa, exponent, missed, residual = _decimal_parts(values)
+    fraction = np.maximum(np.abs(np.frexp(values)[0]), 0.5)  # frexp is exact; 0.5 stands in for zero's 0
+    above = mantissa / (fraction * 2.0**54)
+    below = np.where(fraction == 0.5, above / 2, above)
+    shortest, near = mantissa, np.inf
+    for step in (10, 100):  # a 15-digit candidate that fits replaces a 16-digit one
+        base = mantissa // step * step
+        offset = (mantissa - base) + residual
+        down, up = below - offset, above + offset - step  # how far inside its half-gap each candidate lies
+        upward = np.where(offset > step / 2, up > _TIE_MARGIN, down <= _TIE_MARGIN)  # to the nearer that fits
+        shortest = np.where(np.maximum(down, up) > _TIE_MARGIN, base + upward * step, shortest)
+        near = np.minimum(near, np.minimum(np.minimum(np.abs(down), np.abs(up)), np.abs(offset - step / 2)))
+    missed = np.union1d(missed, np.flatnonzero((near <= _TIE_MARGIN) & (values != 0) | (shortest == 10**17)))
+    from decimal import Decimal  # the fallback's only user, so it stays out of start-up
+    texts = ["{:.16e}".format(Decimal(repr(value))) for value in np.abs(values[missed]).tolist()]
+    shortest[missed], exponent[missed] = [int(t[0] + t[2:18]) for t in texts], [int(t[19:]) for t in texts]
+    return shortest, exponent, missed
+
+
+@functools.cache
+def _json_tables() -> tuple[np.ndarray, ...]:
+    """The JSON cells' tables, built on first use: 8-byte words per lead digit, quad and E; per place j,
+    4j plus a nonzero quad's digits less trailing zeros; the byte mask of each (sign, count, form) key."""
+    digits = np.frombuffer(b"".join(b"%04d" % q for q in range(10_000)), np.uint8).reshape(-1, 4)
+    quads = np.stack([digits, np.full_like(digits, ord("."))], axis=2).reshape(-1, 8).view(np.uint64).ravel()
+    masks = np.zeros((2, 17, 21, 48), np.uint8)  # digit i is byte 2i + 4, the point after it byte 2i + 5
+    for n, point in itertools.product(range(1, 18), range(-4, 17)):
+        if point == 16:  # d[.ddd]e±dd(d)
+            keep = [*range(6, 2 * n + 5, 2), *([7] if n > 1 else []), *range(41, 48)]
+        elif point >= 0:  # ddd.ddd or ddd.0
+            keep = [*range(6, 2 * max(n, point + 1) + 5, 2), 2 * point + 7, *([40] if n <= point + 1 else [])]
+        else:  # 0.000ddd
+            keep = [1, 2, *range(3, 2 - point), *range(6, 2 * n + 5, 2)]
+        masks[:, n - 1, point + 4, keep] = 0xFF
+    masks[1, ..., 0] = 0xFF  # the minus sign
+    leads = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+    exponents = np.frombuffer(b"".join((b"0e%+03d" % e).ljust(8, b"\0") for e in range(-324, 309)), np.uint64)
+    places = (np.arange(10_000) > 0) * (4 * np.arange(4)[:, None] + 4 - np.argmax(digits[:, ::-1] > 48, axis=1))
+    return leads, quads, exponents, places, masks.view(np.uint64).reshape(-1, 6)
+
+
+def _json_text(block: np.ndarray, segments: list[str]) -> str:
+    """A finite (rows, columns) block as JSON rows: ``segments[k]`` precedes column k, the last ends a row.
+
+    A number is a 48-byte cell, ``-0.000``, 17 digits each followed by a point, ``0e±dd(d)``, whose
+    key's mask keeps ``repr``'s bytes; the key's form is E + 4 for -4 <= E < 16, else 20.  One
+    ``bytes.translate`` drops the NUL pads, as ``json.dumps`` escapes a NUL in a key.
+    """
+    leads, quads, exponents, places, masks = _json_tables()
+    words = np.empty((block.size, 6), np.uint64)  # lead, 4 quads, exponent
+    for start in range(0, block.size, 2**14):  # in chunks whose temporaries stay in cache
+        chunk, cells = block.ravel()[start:start + 2**14], words[start:start + 2**14]
+        mantissa, exponent, _ = _shortest_parts(chunk)
+        lead = mantissa // 10**16
+        cells[:, 0] = leads.take(lead)
+        rest, last = mantissa - lead * 10**16, 0
+        for column, place in enumerate((10**12, 10**8, 10**4, 1), 1):
+            quad = rest // place
+            cells[:, column] = quads.take(quad)
+            last = np.maximum(last, places[column - 1].take(quad))
+            rest -= quad * place
+        cells[:, 5] = exponents.take(exponent + 324)
+        form = np.where((exponent >= -4) & (exponent < 16), exponent + 4, 20)
+        cells &= masks.take((np.signbit(chunk) * 17 + last) * 21 + form, axis=0)
+    pads = [np.tile(np.frombuffer(text.encode("ascii").rjust(len(text) + -len(text) % 4, b"\0"), np.uint32),
+                    (len(block), 1)) for text in segments]  # NUL-padded to whole words
+    numbers = words.view(np.uint32).reshape(*block.shape, 12).transpose(1, 0, 2)
+    text = np.concatenate([*itertools.chain(*zip(pads, numbers)), pads[-1]], axis=1).tobytes().translate(None, b"\0")
+    return text[:-len(_ROW_SEPARATOR["json"])].decode("ascii")  # no separator after the last row
+
+
 def render_profile(columns, column_arrays, output_format: str, **scalars) -> str:
     """Render one row block of equal-length 1-D float columns as output-file text.
 
@@ -178,7 +260,7 @@ def render_profile(columns, column_arrays, output_format: str, **scalars) -> str
     ``json.dumps(document, sort_keys=True, indent=2)`` places it: with
     ``scalars``, an object keyed by column name (the ``samples`` of the
     document); without, an array (the ``rows`` of ``{"columns", "rows"}``).
-    JSON numbers are ``%r``, the ``float.__repr__`` that ``json`` writes, so
+    JSON numbers are ``repr``, the ``float.__repr__`` that ``json`` writes, so
     the text is byte-identical to ``json.dumps``.  A non-finite value, which
     ``json`` would spell otherwise, raises ``ValueError`` in either format.
     """
@@ -187,14 +269,11 @@ def render_profile(columns, column_arrays, output_format: str, **scalars) -> str
         raise ValueError("output tables hold finite numbers only")
     if output_format == "csv":
         return _csv_text(block)
-    if scalars:
-        order = sorted(range(len(columns)), key=columns.__getitem__)
-        fields = ",\n".join(f"      {json.dumps(columns[k]).replace('%', '%%')}: %r" for k in order)
-        record = f"    {{\n{fields}\n    }}"
-        block = block[:, order]
-    else:
-        record = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
-    return _ROW_SEPARATOR[output_format].join([record] * len(block)) % tuple(block.ravel().tolist())
+    order = sorted(range(len(columns)), key=columns.__getitem__) if scalars else range(len(columns))
+    opening, closing = "{}" if scalars else "[]"
+    segments = [f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if scalars else ''}"
+                for k, j in enumerate(order)]
+    return _json_text(block[:, order], [*segments, f"\n    {closing}{_ROW_SEPARATOR[output_format]}"])
 
 
 def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:

@@ -5,10 +5,10 @@ slit layout is given either as explicit ``slit_positions`` or as
 ``slit_count`` + ``separation`` (centered, evenly spaced) -- exactly one
 form.  Flag overrides win over file values; overriding one slit form clears
 the other.  Each field is converted once, by its entry in ``_CONVERTERS``:
-number fields reject booleans and string fields reject non-strings.  A rule
-the model already enforces is checked by calling the model's check, among
-them the theta-grid rule and the Stern-Gerlach stage's factor, axis and
-slit-count rules.
+number fields reject booleans and strings, list fields reject a bare string, and
+string fields reject non-strings.  A rule the model already enforces is
+checked by calling the model's check, among them the theta-grid rule and the
+Stern-Gerlach stage's factor, axis and slit-count rules.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ def load_config(path: str | Path) -> SimulationConfig:
 
 
 def _number(value) -> float:
-    """A number as float; bools raise TypeError, as in ``_exact_int``."""
-    if isinstance(value, bool):
+    """A number as float; bools and strings raise TypeError, as in ``_exact_int``."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"not a number: {value!r}")
     return float(value)
 
@@ -195,13 +195,14 @@ def _text(value) -> str:
     return value
 
 
-#: The one conversion of each plain field from a JSON value or a parsed flag.
+#: The one conversion of each plain field from a JSON value or a parsed flag; a list field
+#: takes a bare string as one item, which its item conversion rejects, not as characters.
 _CONVERTERS = {
     **dict.fromkeys(("wavelength", "screen_distance", "separation", "theta_min", "theta_max", "i0"), _number),
     **dict.fromkeys(("phase_convention", "transmitted", "output_format", "output_path"), _text),
     **dict.fromkeys(("slit_count", "samples"), _exact_int),
-    "slit_positions": lambda values: tuple(map(_number, values)),
-    "detection": lambda values: tuple(_exact_int(i) for i in values),
+    "slit_positions": lambda values: tuple(map(_number, [values] if isinstance(values, str) else values)),
+    "detection": lambda values: tuple(map(_exact_int, [values] if isinstance(values, str) else values)),
 }
 
 

@@ -175,6 +175,10 @@ class TestMalformedInput:
             ({"slit_positions": ["a", 1]}, "slit_positions"),
             ({"slit_positions": 5}, "slit_positions"),
             ({"wavelength": "abc"}, "wavelength"),
+            # strings that float() or iteration would read as numbers
+            ({"wavelength": "5e-7"}, "wavelength"),
+            ({"slit_positions": "12"}, "slit_positions"),
+            ({"detection": ""}, "detection"),
             ({"sg_stage": {"factor": 1.5}}, "sg_stage"),
             ({"slit_positions": [False, True]}, "slit_positions"),
             ({"wavelength": True}, "wavelength"),
@@ -900,6 +904,101 @@ class TestCsvDigits:
         assert cli._decimal_parts(values.ravel())[2].size == values.size - 1
         assert cli._csv_text(values) == fast_text
         assert fast_text == "\n".join(",".join(["%.16e"] * 3) % tuple(row) for row in values.tolist())
+
+
+def _json_numbers(values):
+    """The values rendered as one JSON column of array rows, split back into numbers."""
+    text = cli.render_profile(["x"], [np.array(values, dtype=float)], "json")
+    return [line.strip() for line in text.split("\n") if line.startswith("      ")]
+
+
+def _json_rows(values):
+    """A (rows, columns) table as ``render_profile``'s JSON array rows, one block per ``_row_blocks`` slice."""
+    columns = [f"c{k}" for k in range(values.shape[1])]
+    blocks = _row_blocks(len(values), values.shape[1])
+    return ",\n".join(cli.render_profile(columns, list(values[rows].T), "json") for rows in blocks)
+
+
+def _repr_rows(values):
+    """The same rows with every number ``%r``, as ``json.dumps`` writes them."""
+    row = "    [\n" + ",\n".join(["      %r"] * values.shape[1]) + "\n    ]"
+    return ",\n".join([row] * len(values)) % tuple(values.ravel().tolist())
+
+
+#: Powers of two over the whole float range, each with its two neighbours.
+_POWERS_OF_TWO = [
+    neighbour
+    for power in (2.0**e for e in range(-1074, 1024))
+    for neighbour in (np.nextafter(power, 0.0), power, np.nextafter(power, np.inf))
+    if np.isfinite(neighbour)
+]
+
+
+class TestJsonDigits:
+    """JSON numbers are ``repr`` text: the shortest-digit engine's fast path and fallback both give its bytes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    def test_numbers_are_repr(self, values):
+        assert _json_numbers(values) == [repr(value) for value in values]
+
+    @pytest.mark.parametrize("value", [
+        0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+        1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+        1e15, np.nextafter(1e15, 0.0), np.nextafter(1e15, np.inf), 1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
+        1.0, 12345.0, 12345.678, 2.0**53, 2.0**53 + 2.0, 1e100, 1.5e-200, 3e-250, 1e200, 0.1, 0.1 + 0.2, 1.0 / 3.0,
+        2.0**-60, 1e-280, np.nextafter(1e280, 0.0), 9.999999999999999e22, 0.30000000000000004,
+    ])
+    def test_edge_values(self, value):
+        value = float(value)
+        assert _json_numbers([value, -value]) == [repr(value), repr(-value)]
+
+    def test_powers_of_ten_and_two_and_their_neighbours(self):
+        values = [float(value) for value in _POWERS_OF_TEN + _POWERS_OF_TWO]
+        assert _json_numbers(values) == [repr(value) for value in values]
+
+    def test_exact_sixteen_digit_ties(self):
+        # dyadic m * 2**-k whose exact expansion has 17 significant digits, the last a 5
+        candidates = [m * 2.0**-k for k in range(1, 80) for m in range(1, 400, 2)]
+        ties = [value for value in candidates if len(Decimal(value).as_tuple().digits) == 17
+                and Decimal(value).as_tuple().digits[-1] == 5]
+        assert len(ties) > 20
+        assert _json_numbers(ties) == [repr(value) for value in ties]
+
+    def test_a_million_random_bit_patterns(self):
+        values = np.random.default_rng(20240812).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)][:999_000].reshape(-1, 4)
+        assert _json_rows(values) == _repr_rows(values)
+
+    def test_forced_fallback_writes_the_same_bytes(self, monkeypatch):
+        # a margin of one half sends every nonzero cell to the fallback
+        values = np.random.default_rng(4).standard_normal((50, 3)) * 10.0 ** np.arange(-2, 1)
+        values[0, 0] = -0.0
+        fast_text = _json_rows(values)
+        monkeypatch.setattr(cli, "_TIE_MARGIN", 0.5)
+        assert cli._shortest_parts(values.ravel())[2].size == values.size - 1
+        assert _json_rows(values) == fast_text
+        assert fast_text == _repr_rows(values)
+
+    def test_a_round_up_into_the_next_power_of_ten_reads_repr(self, monkeypatch):
+        # a log10 a little low puts 1e24, which lies below 10**24, at E = 23 with D = 99999999999999998;
+        # its shortest form rounds up to 10**17, that is, into the next exponent
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) * (1 - 2.0**-50))
+        values = [1e24, 1e23, 1e25, 1e-5, 0.3, 123.0]
+        assert 0 in cli._shortest_parts(np.array(values))[2]
+        assert 0 not in cli._decimal_parts(np.array(values))[2]
+        assert _json_numbers(values) == [repr(value) for value in values]
+
+    def test_zeros_and_small_powers_of_two_stay_on_the_fast_path(self):
+        # compare's abs_diff column: zeros and k * 2**-53, most of them powers of two
+        values = np.concatenate([np.zeros(1000), np.arange(1, 2**14) * 2.0**-53, 2.0 ** -np.arange(40, 60)])
+        assert cli._shortest_parts(values)[2].size == 0
+        assert _json_numbers(values) == [repr(value) for value in values.tolist()]
+
+    def test_an_empty_block_renders_as_no_text(self):
+        assert cli.render_profile(["theta", "intensity"], [np.array([]), np.array([])], "json", i0=1.0) == ""
+        assert cli.render_profile(["theta", "intensity"], [np.array([]), np.array([])], "json") == ""
 
 
 class TestMainEntry:
