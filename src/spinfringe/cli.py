@@ -116,12 +116,11 @@ def _split(x):
 def _decimal_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(D, E, missed, residual)``: ``_FMT % |x|`` is D's 17 digits as d.ddd...eE; zero gives (0, 0).
 
-    |x| * 10**(16 - E), with E from ``log10``, is a double-double by Dekker's exact
-    two-product.  Its high part is an integer above 2**53, so D = hi + rint(lo) is exact
-    unless lo is within ``_TIE_MARGIN`` of a tie or D leaves (10**16, 10**17), as a wrong E
-    or a power of ten makes it.  Those cells and any outside the fast range are ``missed``
-    and read back from ``_FMT`` itself, so no libm result decides a digit.  ``residual`` is
-    y - D = lo - rint(lo) for y = |x| * 10**(16 - E), meaningless in missed cells.
+    y = |x| * 10**(16 - E), with E from ``log10``, is a double-double by Dekker's exact
+    two-product.  Its high part is an integer above 2**53, so D = hi + rint(lo), with residual
+    y - D, is exact unless lo is within ``_TIE_MARGIN`` of a tie or D leaves (10**16, 10**17), as
+    a wrong E or a power of ten makes it.  Those cells and any outside the fast range are ``missed``
+    and read back from ``_FMT`` itself, so no libm result decides a digit.
     """
     size = np.abs(values)
     fast = (size >= 10.0**-_FAST_RANGE) & (size < 10.0**_FAST_RANGE)
@@ -175,10 +174,10 @@ def _csv_text(block: np.ndarray) -> str:
 def _shortest_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(M, E, missed)``: ``repr(|x|)`` is M's digits, less trailing zeros, as d.ddd...eE; zero gives (0, 0).
 
-    ``repr`` is the shortest decimal that reads back as x, the nearest if several.  x's half-gaps,
-    y * 2**-54 / f in units of D's last digit (y = D + residual, f frexp's fraction), halved below a
-    power of two, lie in [0.555, 11.1]: D fits, and of the candidates 10 or 100 apart the nearer that
-    fits wins.  Cells near a gap's edge or a tie, rounding up to 10**17 or missed read ``repr`` itself.
+    ``repr`` is the shortest decimal that reads back as x, the nearest if several.  x's half-gaps are
+    y * 2**-54 / f units of D's last digit (y = D + residual, f frexp's fraction; halved below a power
+    of two), 0.555 to 11.1: D fits; of the candidates 10 or 100 apart the nearer that fits wins.  Near a
+    gap's edge or a tie (``_TIE_MARGIN``), on a round-up to 10**17 or if missed, ``repr`` itself is read.
     """
     mantissa, exponent, missed, residual = _decimal_parts(values)
     fraction = np.maximum(np.abs(np.frexp(values)[0]), 0.5)  # frexp is exact; 0.5 stands in for zero's 0
@@ -221,21 +220,23 @@ def _json_tables() -> tuple[np.ndarray, ...]:
     return leads, quads, exponents, places, masks.view(np.uint64).reshape(-1, 6)
 
 
-def _json_text(block: np.ndarray, segments: list[str]) -> str:
-    """A finite (rows, columns) block as JSON rows: ``segments[k]`` precedes column k, the last ends a row.
-
-    A number is a 48-byte cell, ``-0.000``, 17 digits each followed by a point, ``0e±dd(d)``, whose
-    key's mask keeps ``repr``'s bytes; the key's form is E + 4 for -4 <= E < 16, else 20.  One
-    ``bytes.translate`` drops the NUL pads, as ``json.dumps`` escapes a NUL in a key.
-    """
+def _json_record(block: np.ndarray, segments: list[str]) -> np.ndarray:
+    """A finite block's JSON rows as NUL-padded words: per row ``segments[k]`` and column k's number, then
+    the last segment, but no ``_ROW_SEPARATOR`` after the last row (``json.dumps`` escapes NUL in a key).
+    A number is a 48-byte cell, ``-0.000``, 17 digits each followed by a point, ``0e±dd(d)``, whose key's
+    mask keeps ``repr``'s bytes; the key's form is E + 4 for -4 <= E < 16, else 20."""
     leads, quads, exponents, places, masks = _json_tables()
-    words = np.empty((block.size, 6), np.uint64)  # lead, 4 quads, exponent
-    for start in range(0, block.size, 2**14):  # in chunks whose temporaries stay in cache
-        chunk, cells = block.ravel()[start:start + 2**14], words[start:start + 2**14]
+    width = -(-max(map(len, segments)) // 4)
+    heads = np.frombuffer(b"".join(text.encode("ascii").rjust(4 * width, b"\0") for text in segments), np.uint32)
+    record = np.empty((len(block), block.shape[1] * (width + 12) + width), np.uint32)
+    units = record[:, :-width].reshape(*block.shape, width + 12)  # a view: it splits a contiguous axis
+    units[..., :width], record[:, -width:] = heads.reshape(-1, width)[:-1], heads[-width:]
+    rows = max(1, 2**14 // block.shape[1])
+    for start in range(0, len(block), rows):  # in row chunks whose temporaries stay in cache
+        chunk = block[start:start + rows].ravel()
         mantissa, exponent, _ = _shortest_parts(chunk)
-        lead = mantissa // 10**16
-        cells[:, 0] = leads.take(lead)
-        rest, last = mantissa - lead * 10**16, 0
+        cells = np.empty((chunk.size, 6), np.uint64)  # lead, 4 quads, exponent
+        cells[:, 0], rest, last = leads.take(mantissa // 10**16), mantissa % 10**16, 0
         for column, place in enumerate((10**12, 10**8, 10**4, 1), 1):
             quad = rest // place
             cells[:, column] = quads.take(quad)
@@ -244,11 +245,9 @@ def _json_text(block: np.ndarray, segments: list[str]) -> str:
         cells[:, 5] = exponents.take(exponent + 324)
         form = np.where((exponent >= -4) & (exponent < 16), exponent + 4, 20)
         cells &= masks.take((np.signbit(chunk) * 17 + last) * 21 + form, axis=0)
-    pads = [np.tile(np.frombuffer(text.encode("ascii").rjust(len(text) + -len(text) % 4, b"\0"), np.uint32),
-                    (len(block), 1)) for text in segments]  # NUL-padded to whole words
-    numbers = words.view(np.uint32).reshape(*block.shape, 12).transpose(1, 0, 2)
-    text = np.concatenate([*itertools.chain(*zip(pads, numbers)), pads[-1]], axis=1).tobytes().translate(None, b"\0")
-    return text[:-len(_ROW_SEPARATOR["json"])].decode("ascii")  # no separator after the last row
+        units[start:start + rows, :, width:] = cells.view(np.uint32).reshape(-1, block.shape[1], 12)
+    record.view(np.uint8)[-1:, -len(_ROW_SEPARATOR["json"]):] = 0
+    return record
 
 
 def render_profile(columns, column_arrays, output_format: str, **scalars) -> str:
@@ -272,8 +271,9 @@ def render_profile(columns, column_arrays, output_format: str, **scalars) -> str
     order = sorted(range(len(columns)), key=columns.__getitem__) if scalars else range(len(columns))
     opening, closing = "{}" if scalars else "[]"
     segments = [f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if scalars else ''}"
-                for k, j in enumerate(order)]
-    return _json_text(block[:, order], [*segments, f"\n    {closing}{_ROW_SEPARATOR[output_format]}"])
+                for k, j in enumerate(order)] + [f"\n    {closing}{_ROW_SEPARATOR[output_format]}"]
+    # each step's input is freed once it returns, so at most two copies of the record are alive
+    return _json_record(block[:, order], segments).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:
