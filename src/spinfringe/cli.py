@@ -149,7 +149,7 @@ def _csv_cells(block: np.ndarray) -> np.ndarray:
     words = np.empty((values.size, 7), np.uint32)  # head, 4 quads, exponent; separator in the last byte
     for start in range(0, values.size, 2**14):  # in chunks whose temporaries stay in cache
         chunk, cells = values[start:start + 2**14], words[start:start + 2**14]
-        mantissa, exponent, *_ = _decimal_parts(chunk)
+        mantissa, exponent = _decimal_parts(chunk)[:2]
         lead = mantissa // 10**16
         cells[:, 0] = heads.take(lead + 10 * np.signbit(chunk))
         rest = mantissa - lead * 10**16

@@ -175,7 +175,7 @@ class TestMalformedInput:
             ({"slit_positions": ["a", 1]}, "slit_positions"),
             ({"slit_positions": 5}, "slit_positions"),
             ({"wavelength": "abc"}, "wavelength"),
-            # strings that float() or iteration would read as numbers
+            # strings, which float() would parse and iteration would split into items
             ({"wavelength": "5e-7"}, "wavelength"),
             ({"slit_positions": "12"}, "slit_positions"),
             ({"detection": ""}, "detection"),
@@ -991,7 +991,7 @@ class TestJsonDigits:
         assert _json_numbers(values) == [repr(value) for value in values]
 
     def test_zeros_and_small_powers_of_two_stay_on_the_fast_path(self):
-        # compare's abs_diff column: zeros and k * 2**-53, most of them powers of two
+        # like compare's abs_diff column: zeros, small multiples of 2**-53 and powers of two
         values = np.concatenate([np.zeros(1000), np.arange(1, 2**14) * 2.0**-53, 2.0 ** -np.arange(40, 60)])
         assert cli._shortest_parts(values)[2].size == 0
         assert _json_numbers(values) == [repr(value) for value in values.tolist()]
