@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ScreenPoint, SlitGeometry, _by_slit_count, _check_positive, _checked_thetas, _exact_int,
-                       pair_phase)
+                       _positions_and_wavenumber, pair_phase)
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import rotation_matrix
 
@@ -234,9 +234,9 @@ def multi_slit_intensity(
         n = layouts[0].n_slits
         i, j = np.triu_indices(n, 1)
         phases = pair_phase(layouts, thetas, i + 1, j + 1)
-        # |phi_ij| = |k|*(a_j - a_i) grows with the separation; equal values may go in any order
-        ordered = np.take_along_axis(phases, np.argsort(np.abs(phases), axis=-1), axis=-1)
-        values[rows] = _cosine_sum(ordered, scale, n)
+        # |phi_ij| = |k|*(a_j - a_i) grows with the separation, as the profile's baselines do; C order, as
+        # _cosine_sum needs, so each row sums in the profile's order
+        values[rows] = _cosine_sum(np.sort(np.abs(phases, order="C"), axis=-1), scale, n)
     return np.clip(values, 0.0, 1.0)
 
 
@@ -268,8 +268,10 @@ def intensity_profile(
     independent and the profile is flat at i0/N.
 
     Pairs with exactly equal separations share their phase, so the sum runs
-    once per distinct baseline, weighted by its pair count.  Values are
-    clipped into [0, i0] to absorb last-bit rounding.
+    once per distinct baseline, weighted by its pair count.  The cosine
+    takes the non-negative |phi| = |k|*d, so mirror rows r and S-1-r whose
+    |k| are exactly equal share one evaluation.  Values are clipped into
+    [0, i0] to absorb last-bit rounding.
     """
     grid = _theta_grid(thetas)
     _check_choice(choice)
@@ -281,15 +283,18 @@ def intensity_profile(
     if detection:
         values = np.full(grid.shape, 1.0 / n)
     else:
+        pos, k = _positions_and_wavenumber(geometry, grid)
         i, j = np.triu_indices(n, 1)
-        pos = np.asarray(geometry.slit_positions)
-        _, shared, counts = np.unique(pos[j] - pos[i], return_index=True, return_counts=True)
-        i, j = i[shared] + 1, j[shared] + 1  # one 1-based pair per distinct baseline
-        values = np.empty(grid.shape)
+        baselines, counts = np.unique(pos[j] - pos[i], return_counts=True)
+        # |k|*d is pair_phase's |phi| and the cosine is even; each row's |k| is replaced by its value in place
+        values = np.abs(k, out=k)
+        own = values != values[::-1]  # a second-half row whose |k| is its mirror row's copies that row
+        own[: (grid.size + 1) // 2] = True
         rows = max(1, _BLOCK_CELLS // counts.size)  # cells, no row cap: a 2-slit grid is one block
         for start in range(0, grid.size, rows):
-            block = slice(start, start + rows)
-            values[block] = _cosine_sum(pair_phase(geometry, grid[block], i, j), scale, n, counts)
+            block, kept = values[start : start + rows], own[start : start + rows]
+            block[kept] = _cosine_sum(np.multiply.outer(block[kept], baselines), scale, n, counts)
+        values[~own] = values[::-1][~own]
         if choice == "v":
             values = 1.0 - values
     return FringeProfile(grid, np.clip(i0 * values, 0.0, i0), i0)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinfringe
-from spinfringe import ConfigError, SimulationConfig, SternGerlachStage, cli, default_config
+from spinfringe import ConfigError, SimulationConfig, SternGerlachStage, cli, default_config, fringe
 from spinfringe.cli import (
     _config_from_args,
     _write_table,
@@ -586,6 +586,25 @@ class TestCompare:
         )
         _, max_abs_diff = run_compare(config)
         assert max_abs_diff <= 1e-12
+
+    def test_the_oracle_computes_every_row_the_model_copies_from_its_mirror(self, tmp_path, monkeypatch):
+        counted = {"model": 0, "oracle": 0}
+
+        def counting(name, function):
+            def wrapper(phases, *args):
+                counted[name] += phases.shape[0]
+                return function(phases, *args)
+            return wrapper
+
+        monkeypatch.setattr(fringe, "_cosine_sum", counting("model", fringe._cosine_sum))
+        monkeypatch.setattr(cli, "classical_intensity", counting("oracle", cli.classical_intensity))
+        config = merge_overrides(
+            default_config(), {"slit_count": 5, "samples": 2001, "output_path": str(tmp_path / "cmp.csv")}
+        )
+        _, max_abs_diff = run_compare(config)
+        assert max_abs_diff <= 1e-9
+        assert counted["model"] < 2001
+        assert counted["oracle"] == 2001
 
     def test_oracle_in_row_blocks_equals_one_table(self, tmp_path):
         positions = np.sort(np.random.default_rng(5).uniform(-6e-5, 6e-5, 64))

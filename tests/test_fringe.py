@@ -28,6 +28,7 @@ from spinfringe import (
     decompose_uv,
     detect_at_slit,
     ensemble_transmission,
+    fringe,
     intensity_profile,
     measure_factor,
     multi_slit_intensity,
@@ -367,6 +368,81 @@ class TestMultiSlitIntensityStacks:
         with pytest.raises(ValueError, match="phase convention"):
             multi_slit_intensity(layouts, np.zeros(2), "full")
         assert multi_slit_intensity([], np.zeros(0)).shape == (0,)
+
+
+@st.composite
+def _mirror_grids(draw):
+    """An angle grid of a kind the mirror rule meets, and whether it is exactly antisymmetric."""
+    kind = draw(st.sampled_from(("linspace", "one-sided", "antisymmetric", "ulp-apart")))
+    size = draw(st.integers(1, 41))
+    width = draw(st.floats(0.01, 1.5))
+    if kind == "linspace":
+        return np.linspace(-width, width, size), False
+    if kind == "one-sided":
+        return np.linspace(draw(st.floats(0.0, width / 2)), width, size), False
+    if kind == "ulp-apart":
+        grid = np.linspace(-width, width, size)
+        return np.unique(np.concatenate([grid, np.nextafter(grid, np.inf)])), False
+    half = np.unique(draw(st.lists(st.floats(0.0, width, exclude_min=True), min_size=1, max_size=20)))
+    middle = [0.0] if draw(st.booleans()) else []
+    return np.concatenate([-half[::-1], middle, half]), True
+
+
+class TestMirrorRows:
+    """A row copied from its mirror row is the row evaluated on its own, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        layout=st.one_of(
+            st.builds(
+                SlitGeometry.evenly_spaced,
+                st.integers(2, 12),
+                st.floats(min_value=5e-7, max_value=2e-5),
+                _WAVELENGTHS,
+                st.just(1.0),
+            ),
+            st.builds(SlitGeometry, _irregular_layouts(12), _WAVELENGTHS, st.just(1.0)),
+        ),
+        grid=_mirror_grids(),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+        choice=st.sampled_from(TRANSMITTED_CHOICES),
+        i0=st.floats(min_value=0.5, max_value=3.0),
+    )
+    def test_every_row_equals_its_one_angle_profile(self, layout, grid, convention, choice, i0):
+        grid, antisymmetric = grid
+        profile = intensity_profile(layout, grid, convention, choice, i0=i0).intensities
+        alone = [intensity_profile(layout, [theta], convention, choice, i0=i0).intensities[0] for theta in grid]
+        assert np.array_equal(profile, alone)
+        if antisymmetric:
+            assert np.array_equal(profile, profile[::-1])
+
+    @staticmethod
+    def _rows_evaluated(monkeypatch, layout, grid) -> int:
+        rows, cosine_sum = [], fringe._cosine_sum
+
+        def counting(phases, *args):
+            rows.append(phases.shape[0])
+            return cosine_sum(phases, *args)
+
+        monkeypatch.setattr(fringe, "_cosine_sum", counting)
+        intensity_profile(layout, grid)
+        return sum(rows)
+
+    def test_a_symmetric_grid_evaluates_each_exact_mirror_pair_once(self, monkeypatch):
+        positions = np.sort(np.random.default_rng(7).uniform(-6e-5, 6e-5, 64))
+        layout = SlitGeometry(tuple(positions), 5e-7, 1.0)
+        grid = np.linspace(-0.3, 0.3, 20001)
+        k = np.abs(2.0 * np.pi * np.sin(grid) / layout.wavelength)
+        second_half = np.arange(grid.size) > (grid.size - 1) / 2
+        mirrored = int(np.count_nonzero(second_half & (k == k[::-1])))
+        evaluated = self._rows_evaluated(monkeypatch, layout, grid)
+        assert evaluated == grid.size - mirrored
+        assert evaluated < 0.85 * grid.size
+
+    def test_a_one_sided_grid_evaluates_every_row(self, monkeypatch):
+        positions = np.sort(np.random.default_rng(7).uniform(-6e-5, 6e-5, 64))
+        grid = np.linspace(0.05, 0.3, 2001)
+        assert self._rows_evaluated(monkeypatch, SlitGeometry(tuple(positions), 5e-7, 1.0), grid) == grid.size
 
 
 class TestPairPhaseInvariances:
