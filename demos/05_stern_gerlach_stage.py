@@ -13,10 +13,10 @@ import numpy as np
 from spinfringe import (
     PairState,
     SlitGeometry,
+    SternGerlachStage,
     ensemble_transmission,
     intensity_profile,
     measure_factor,
-    two_slit_state_at,
 )
 
 print("Measuring factor 1 of cos(phi) u - sin(phi) v in the rotated basis:")
@@ -34,11 +34,8 @@ for phi in (0.0, 0.4, 1.0):
 layout = SlitGeometry.evenly_spaced(2, 2e-6, 500e-9, 1.0)
 thetas = np.linspace(-0.3, 0.3, 801)
 plain = intensity_profile(layout, thetas)
-
-# one stacked call per step over the whole grid: (801, 4) states, then
-# (801, 2) weights with (801, 2, 4) collapsed states, then (801,) values
-states = two_slit_state_at(layout, thetas).as_state()
-values = ensemble_transmission(measure_factor(states, 1, 0.0), "u")
+# the stage measures factor 1 of the pair state at every screen angle
+values = intensity_profile(layout, thetas, stage=SternGerlachStage(1)).intensities
 
 print("\nScreen profile with the stage on:")
 print(f"  peak without stage: {plain.intensities.max():.3f} * I0")

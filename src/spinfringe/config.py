@@ -8,7 +8,7 @@ the other.  Each field is converted once, by its entry in ``_CONVERTERS``:
 number fields reject booleans and strings, list fields reject a bare string, and
 string fields reject non-strings.  A rule the model already enforces is
 checked by calling the model's check, among them the theta-grid rule and the
-Stern-Gerlach stage's factor, axis and slit-count rules.
+Stern-Gerlach stage's factor, axis, slit-count and detection rules.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fringe
-from .geometry import ConfigError, ScreenPoint, SlitGeometry, _check_positive, _checked_thetas, _exact_int
+from .fringe import SternGerlachStage
+from .geometry import ConfigError, SlitGeometry, _check_positive, _checked_thetas, _exact_int
 
 #: Environment variable that redirects relative output paths to a directory.
 OUTPUT_DIR_ENV = "SPINFRINGE_OUTPUT_DIR"
@@ -44,14 +45,6 @@ MAX_CELLS = 10**9
 
 
 @dataclass(frozen=True)
-class SternGerlachStage:
-    """Idealized spin measurement applied to one tensor factor before the screen."""
-
-    factor: int
-    axis_angle: float = 0.0
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     wavelength: float = 500e-9
     screen_distance: float = 1.0
@@ -69,15 +62,15 @@ class SimulationConfig:
     output_format: str = "csv"
     output_path: str = "fringe.csv"
 
-    def validate(self) -> None:
-        """Raise ConfigError naming the offending field on any violation.
+    def validate(self) -> tuple[SlitGeometry, np.ndarray]:
+        """The checked ``(layout, grid)`` a command computes on; raise ConfigError naming the offending field.
 
         Only the rules that belong to the config itself are written here.
         The layout, angle, grid, convention, choice, detection and SG-stage
         rules are the model's own checks, run on the config's values: the
-        grid is ``_theta_grid`` on the config's linspace, and the SG stage
-        runs its model path at theta = 0 (``two_slit_state_at``, then
-        ``measure_factor`` of that state, u, with its factor and axis).
+        grid is ``_theta_grid`` on ``theta_grid()``, and the SG stage runs
+        ``intensity_profile`` at theta = 0 with its ``stage`` and the
+        config's detection, which that stage may not be combined with.
         """
         if self.slit_positions is not None:
             _require(self.slit_count is None and self.separation is None, "slit_positions",
@@ -100,7 +93,7 @@ class SimulationConfig:
         cells = self.samples * (1 + n + n * (n - 1) // 2)
         _require(cells <= MAX_CELLS, "samples",
                  f"{self.samples} samples at {n} slits make {cells} table cells, over {MAX_CELLS}")
-        _as_field("samples", fringe._theta_grid, np.linspace(self.theta_min, self.theta_max, self.samples))
+        grid = _as_field("samples", fringe._theta_grid, self.theta_grid())
         scale = _as_field("phase_convention", fringe._rotation_scale, self.phase_convention)
         # the largest numbers the model forms: k, then the rotation angle 2*scale*k*(a_j - a_i)
         theta = max(abs(self.theta_min), abs(self.theta_max))
@@ -116,15 +109,15 @@ class SimulationConfig:
         _as_field("detection", fringe._check_detection, self.detection, n)
 
         if self.sg_stage is not None:
-            _require(not self.detection, "sg_stage", "cannot be combined with detection")
-            state = _as_field("sg_stage", fringe.two_slit_state_at, layout, ScreenPoint(0.0)).as_state()
-            _as_field("sg_stage", fringe.measure_factor, state, self.sg_stage.factor, self.sg_stage.axis_angle)
+            _as_field("sg_stage", fringe.intensity_profile, layout, [0.0], "half", "u", self.detection, 1.0,
+                      self.sg_stage)
 
         _check_positive("i0", self.i0)
         _require(self.output_format in OUTPUT_FORMATS,
                  "output_format", f"must be one of {list(OUTPUT_FORMATS)}, got {self.output_format!r}")
         _require(isinstance(self.output_path, str) and self.output_path != "",
                  "output_path", "must be a non-empty path")
+        return layout, grid
 
     def geometry(self) -> SlitGeometry:
         if self.slit_positions is not None:
@@ -134,7 +127,7 @@ class SimulationConfig:
         )
 
     def theta_grid(self) -> np.ndarray:
-        """The screen-angle grid of ``samples`` evenly spaced angles; ``validate()`` has checked it."""
+        """The screen-angle grid of ``samples`` evenly spaced angles; ``validate()`` checks and returns it."""
         return np.linspace(self.theta_min, self.theta_max, self.samples)
 
 

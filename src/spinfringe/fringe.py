@@ -172,6 +172,14 @@ class FringeProfile:
 
 
 @dataclass(frozen=True)
+class SternGerlachStage:
+    """Idealized spin measurement applied to one tensor factor before the screen."""
+
+    factor: int
+    axis_angle: float = 0.0
+
+
+@dataclass(frozen=True)
 class DetectionResult:
     """Which-way detection outcome: the aperture label and the collapsed one-particle state."""
 
@@ -234,17 +242,18 @@ def multi_slit_intensity(
         n = layouts[0].n_slits
         i, j = np.triu_indices(n, 1)
         phases = pair_phase(layouts, thetas, i + 1, j + 1)
-        # |phi_ij| = |k|*(a_j - a_i) grows with the separation, as the profile's baselines do; C order, as
-        # _cosine_sum needs, so each row sums in the profile's order
-        values[rows] = _cosine_sum(np.sort(np.abs(phases, order="C"), axis=-1), scale, n)
+        # |phi_ij| = |k|*(a_j - a_i) grows with the separation, as the profile's baselines do
+        values[rows] = _cosine_sum(np.sort(np.abs(phases), axis=-1), scale, n)
     return np.clip(values, 0.0, 1.0)
 
 
 def _cosine_sum(phases: np.ndarray, scale: float, n: int, counts=1) -> np.ndarray:
     """The pairwise rule (n + 2*sum(counts*cos(2*scale*phi)))/n^2 per row of an n-slit layout's pair phases.
 
-    ``phases`` is a C-contiguous (rows, pairs) array; it is overwritten, and each row is summed column by column.
+    ``phases`` is a (rows, pairs) array, overwritten if it is C-contiguous.  Each row is summed column by
+    column in C order, whatever the input's order, as ``sum`` adds the rows of another order differently.
     """
+    phases = np.ascontiguousarray(phases)
     np.cos(np.multiply(phases, 2.0 * scale, out=phases), out=phases)
     phases *= counts
     return (n + 2.0 * phases.sum(axis=-1)) / n**2
@@ -257,6 +266,7 @@ def intensity_profile(
     choice: str = "u",
     detection: tuple[int, ...] = (),
     i0: float = 1.0,
+    stage: SternGerlachStage | None = None,
 ) -> FringeProfile:
     """Fringe profile over an increasing grid of screen angles.
 
@@ -265,7 +275,11 @@ def intensity_profile(
     pair state (the "v" choice is its complement, preserving
     transmitted + absorbed = i0 at every angle).  Any non-empty ``detection``
     set breaks the pair correlation: the particles from the N slits become
-    independent and the profile is flat at i0/N.
+    independent and the profile is flat at i0/N.  A Stern-Gerlach ``stage``
+    measures its factor of each two-slit pair state along its axis, and the
+    profile is i0 times the mixture's ``ensemble_transmission``; the grid is
+    walked in ``_row_blocks``, which bound the stacked states.  A stage needs
+    exactly two slits (``GeometryError`` otherwise) and no detection.
 
     Pairs with exactly equal separations share their phase, so the sum runs
     once per distinct baseline, weighted by its pair count.  The cosine
@@ -280,7 +294,14 @@ def intensity_profile(
     n = geometry.n_slits
     _check_detection(detection, n)
 
-    if detection:
+    if stage is not None:
+        if detection:
+            raise ValueError("cannot be combined with detection")
+        values = np.empty(grid.shape)
+        for rows in _row_blocks(grid.size):
+            states = two_slit_state_at(geometry, grid[rows], convention).as_state()
+            values[rows] = ensemble_transmission(measure_factor(states, stage.factor, stage.axis_angle), choice)
+    elif detection:
         values = np.full(grid.shape, 1.0 / n)
     else:
         pos, k = _positions_and_wavenumber(geometry, grid)

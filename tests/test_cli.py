@@ -489,15 +489,15 @@ class TestSimulate:
     def test_sg_stage_in_row_blocks_matches_per_angle_reference(
         self, tmp_path, monkeypatch, factor, transmitted
     ):
-        # 2,501 samples are two full 1,000-row blocks and a partial one
+        # validate's one-row probe, then 2,501 samples as two full 1,000-row blocks and a partial one
         rows = []
-        stacked = spinfringe.cli.measure_factor
+        stacked = spinfringe.fringe.measure_factor
 
         def recording(state, *args):
             rows.append(np.shape(state)[0])
             return stacked(state, *args)
 
-        monkeypatch.setattr(spinfringe.cli, "measure_factor", recording)
+        monkeypatch.setattr(spinfringe.fringe, "measure_factor", recording)
         i0, axis = 2.5, 0.7
         config = merge_overrides(
             default_config(),
@@ -521,7 +521,7 @@ class TestSimulate:
         ]
         expected = np.clip(i0 * np.array(reference), 0.0, i0)
         assert np.max(np.abs(data[:, 1] - expected)) <= 4 * np.finfo(float).eps * i0
-        assert rows == [1000, 1000, 501]
+        assert rows == [1, 1000, 1000, 501]
 
     def test_csv_precision_at_least_15_digits(self, tmp_path):
         config = merge_overrides(
@@ -605,6 +605,28 @@ class TestCompare:
         assert max_abs_diff <= 1e-9
         assert counted["model"] < 2001
         assert counted["oracle"] == 2001
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_peak_memory_holds_no_second_theta_column(self, tmp_path, output_format):
+        samples = 100_001
+        config = merge_overrides(
+            default_config(),
+            {"samples": samples, "output_format": output_format, "output_path": str(tmp_path / "out.table")},
+        )
+
+        def traced_peak(run):
+            run(config)  # first calls allocate once-only state; keep it out of the trace
+            tracemalloc.start()
+            try:
+                run(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # compare writes four columns and holds the oracle's blocks; the profile's copy of the grid would be one
+        # more 8-byte value per row on top of simulate's peak
+        per_row = (traced_peak(run_compare) - traced_peak(run_simulate)) / samples
+        assert per_row < 8
 
     def test_oracle_in_row_blocks_equals_one_table(self, tmp_path):
         positions = np.sort(np.random.default_rng(5).uniform(-6e-5, 6e-5, 64))
@@ -1216,6 +1238,30 @@ _CONFIG_FILES = {
 }
 
 
+class TestOneBuild:
+    @pytest.mark.parametrize("command", ["simulate", "compare", "geometry"])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_a_command_validates_and_builds_its_inputs_once_per_config(
+        self, tmp_path, monkeypatch, command, from_file
+    ):
+        calls = {}
+
+        def counting(name, method):
+            def wrapper(config):
+                calls[name] = calls.get(name, 0) + 1
+                return method(config)
+            return wrapper
+
+        names = ("validate", "geometry", "theta_grid")
+        for name in names:
+            monkeypatch.setattr(SimulationConfig, name, counting(name, getattr(SimulationConfig, name)))
+        argv = [command, "--sg-factor", "1"] if command == "simulate" else [command]
+        if from_file:  # load_config validates the file before the flags apply, as README says
+            argv.append(f"--config={write_config(tmp_path, samples=17)}")
+        assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 0
+        assert calls == dict.fromkeys(names, 2 if from_file else 1)
+
+
 class TestCliProperty:
     """Any argv either writes a finite, reproducible table in [0, i0] or exits 2 naming what it rejects."""
 
@@ -1242,7 +1288,14 @@ class TestCliProperty:
                         code = exc.code
                 return code, stderr.getvalue()
 
-            no_grid = mock.patch.object(SimulationConfig, "theta_grid", side_effect=AssertionError("grid built"))
+            theta_grid = SimulationConfig.theta_grid
+
+            def grid_within_the_caps(config):  # a --config file's own config is within them and builds its grid
+                n = config.slit_count if config.slit_positions is None else len(config.slit_positions)
+                assert config.samples <= MAX_SAMPLES and config.samples * _cells(n) <= MAX_CELLS, "grid built"
+                return theta_grid(config)
+
+            no_grid = mock.patch.object(SimulationConfig, "theta_grid", grid_within_the_caps)
             with no_grid if over_cap else contextlib.nullcontext():
                 code, err = run()
             if code == 2:

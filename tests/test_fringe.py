@@ -20,6 +20,7 @@ from spinfringe import (
     SimulationConfig,
     SlitGeometry,
     Spinor,
+    SternGerlachStage,
     TwoSpinState,
     UnsupportedCollapseError,
     apply_pair,
@@ -264,6 +265,28 @@ class TestIntensityProfile:
                     ps = two_slit_state_at(two_slit, ScreenPoint(theta), convention)
                     assert abs(value - transmission_probability(ps, choice)) <= 1e-12
 
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("choice", TRANSMITTED_CHOICES)
+    def test_sg_stage_equals_the_per_angle_scalar_path(self, two_slit, factor, choice):
+        # 1,201 angles are a full row block and a partial one
+        grid, axis, i0 = np.linspace(-0.3, 0.3, 1201), 0.7, 2.5
+        profile = intensity_profile(two_slit, grid, "paper", choice, i0=i0, stage=SternGerlachStage(factor, axis))
+        reference = [
+            ensemble_transmission(
+                measure_factor(two_slit_state_at(two_slit, ScreenPoint(theta), "paper").as_state(), factor, axis),
+                choice,
+            )
+            for theta in grid
+        ]
+        expected = np.clip(i0 * np.array(reference), 0.0, i0)
+        assert np.max(np.abs(profile.intensities - expected)) <= 4 * np.finfo(float).eps * i0
+
+    def test_sg_stage_needs_two_slits_and_no_detection(self, two_slit, three_slit):
+        with pytest.raises(GeometryError, match="exactly 2 slits, got 3"):
+            intensity_profile(three_slit, [0.0], stage=SternGerlachStage(1))
+        with pytest.raises(ValueError, match="cannot be combined with detection"):
+            intensity_profile(two_slit, [0.0], detection=(1,), stage=SternGerlachStage(1))
+
 
 class TestMultiSlitIntensity:
     def test_center_is_unity(self):
@@ -368,6 +391,12 @@ class TestMultiSlitIntensityStacks:
         with pytest.raises(ValueError, match="phase convention"):
             multi_slit_intensity(layouts, np.zeros(2), "full")
         assert multi_slit_intensity([], np.zeros(0)).shape == (0,)
+
+    def test_cosine_sum_gives_an_f_ordered_table_the_c_order_result(self, rng):
+        # numpy sums the rows of an F-ordered table in another order; pair_phase's stacks come out F-ordered
+        phases = rng.uniform(0.0, 1e3, size=(64, 45))
+        expected = fringe._cosine_sum(phases.copy(), 0.5, 10)
+        assert np.array_equal(fringe._cosine_sum(np.asfortranarray(phases), 0.5, 10), expected)
 
 
 @st.composite
