@@ -317,8 +317,9 @@ def intensity_profile(
             block[kept] = _cosine_sum(np.multiply.outer(block[kept], baselines), scale, n, counts)
         values[~own] = values[::-1][~own]
         if choice == "v":
-            values = 1.0 - values
-    return FringeProfile(grid, np.clip(i0 * values, 0.0, i0), i0)
+            np.subtract(1.0, values, out=values)
+    values *= i0  # the array is this call's own, so it is scaled and clipped in place
+    return FringeProfile(grid, np.clip(values, 0.0, i0, out=values), i0)
 
 
 def detect_at_slit(state: TwoSpinState, i: int) -> DetectionResult:

@@ -65,20 +65,19 @@ def _index_tuples(n: int, size: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(1, n + 1), size)), dtype=int).reshape(-1, size).T
 
 
-def _random_geometry(rng) -> tuple[geometry.SlitGeometry, geometry.ScreenPoint]:
+def _random_geometry(rng) -> tuple[geometry.SlitGeometry, float]:
     n = int(rng.integers(2, 7))
     positions = np.sort(rng.uniform(-5e-5, 5e-5, size=n))
-    spacings = np.diff(positions)
-    if np.any(spacings <= 1e-9):
+    if np.any(np.diff(positions) <= 1e-9):
         positions = positions + np.arange(n) * 2e-9
     layout = geometry.SlitGeometry(tuple(positions), rng.uniform(2e-7, 8e-7), rng.uniform(0.5, 2.0))
-    return layout, geometry.ScreenPoint(rng.uniform(-1.2, 1.2))  # the angle is drawn after the layout
+    return layout, rng.uniform(-1.2, 1.2)  # the angle theta is drawn after the layout
 
 
 def _random_layout_stacks(rng, count: int) -> list[tuple[np.ndarray, list, np.ndarray]]:
     """``count`` draws of ``_random_geometry`` as one (rows, layouts, thetas) stack per slit count."""
-    layouts, points = zip(*(_random_geometry(rng) for _ in range(count)))
-    return geometry._by_slit_count(layouts, [point.theta for point in points])
+    layouts, thetas = zip(*(_random_geometry(rng) for _ in range(count)))
+    return geometry._by_slit_count(layouts, thetas)
 
 
 def check_basis_orthonormality() -> CheckResult:

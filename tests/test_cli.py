@@ -184,6 +184,8 @@ class TestMalformedInput:
             ({"wavelength": True}, "wavelength"),
             ({"sg_stage": {"factor": 1, "axis_angle": True}}, "sg_stage"),
             ({"output_path": True}, "output_path"),
+            ({"sg_stage": 1}, "sg_stage"),
+            ({"sg_stage": {"factor": 1, "axis": 0.3}}, "sg_stage"),
         ],
     )
     def test_config_file_value(self, tmp_path, capsys, fields, field):
@@ -623,8 +625,8 @@ class TestCompare:
             finally:
                 tracemalloc.stop()
 
-        # compare writes four columns and holds the oracle's blocks; the profile's copy of the grid would be one
-        # more 8-byte value per row on top of simulate's peak
+        # compare writes four columns and joins the oracle's blocks as it computes them; the profile's copy of
+        # the grid would be one more 8-byte value per row on top of simulate's peak
         per_row = (traced_peak(run_compare) - traced_peak(run_simulate)) / samples
         assert per_row < 8
 
@@ -637,8 +639,31 @@ class TestCompare:
         )
         path, _ = run_compare(config)
         oracle = [row["oracle"] for row in json.loads(path.read_text())["samples"]]
-        whole = spinfringe.classical_intensity(spinfringe.slit_phases(config.geometry(), config.theta_grid()))
+        # the oracle sees the layout moved to its midpoint
+        centred = spinfringe.SlitGeometry(positions - (positions[0] + positions[-1]) / 2, config.wavelength,
+                                          config.screen_distance)
+        whole = spinfringe.classical_intensity(spinfringe.slit_phases(centred, config.theta_grid()))
         assert np.array_equal(oracle, config.i0 * whole)
+
+    @pytest.mark.parametrize("offset", [0.01, 1.0, 100.0, 1000.0])
+    def test_a_layout_far_off_axis_matches_the_oracle(self, tmp_path, offset):
+        # given the raw layout's phases k*a_k, the oracle is off the model by 1.97e-8 at 100 m and 1.78e-7 at 1 km
+        config = merge_overrides(
+            default_config(),
+            {"slit_positions": [offset + d for d in (0.0, 3e-6, 7.5e-6)], "samples": 2001,
+             "output_path": str(tmp_path / "cmp.csv")},
+        )
+        _, max_abs_diff = run_compare(config)
+        assert max_abs_diff <= 1e-9
+
+    def test_slits_that_centring_would_merge_keep_their_raw_positions(self, tmp_path):
+        # 1e-30 - 0.5 and 2e-30 - 0.5 both round to -0.5, which no layout may hold twice
+        config = merge_overrides(
+            default_config(),
+            {"slit_positions": [1e-30, 2e-30, 1.0], "samples": 11, "output_path": str(tmp_path / "cmp.csv")},
+        )
+        _, max_abs_diff = run_compare(config)
+        assert max_abs_diff <= 1e-9
 
 
 class TestGeometryDump:
@@ -891,6 +916,18 @@ _POWERS_OF_TEN = [
     for power in (float(f"1e{e}") for e in range(-323, 309))
     for neighbour in (np.nextafter(power, 0.0), power, np.nextafter(power, np.inf))
 ]
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("scalars", [{}, {"i0": 1.0}])
+    def test_two_dimensional_blocks_render_as_their_columns(self, output_format, scalars):
+        rng = np.random.default_rng(8)
+        first, middle, last = rng.standard_normal(7), rng.standard_normal((7, 3)), rng.standard_normal((7, 2))
+        columns = [f"c{k}" for k in range(6)]
+        split = [first, *middle.T, *last.T]
+        assert cli.render_profile(columns, [first, middle, last], output_format, **scalars) == cli.render_profile(
+            columns, split, output_format, **scalars)
 
 
 class TestCsvDigits:

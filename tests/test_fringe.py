@@ -1,6 +1,7 @@
 """Model layer: pair states at the screen, profiles, detection, measurement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,19 @@ class TestIntensityProfile:
         ]
         expected = np.clip(i0 * np.array(reference), 0.0, i0)
         assert np.max(np.abs(profile.intensities - expected)) <= 4 * np.finfo(float).eps * i0
+
+    @pytest.mark.parametrize("choice", TRANSMITTED_CHOICES)
+    def test_peak_memory_stays_below_four_grid_arrays(self, two_slit, choice):
+        # the values are complemented, scaled and clipped in the array that holds |k|, so no copy of them is alive
+        grid = np.linspace(-0.3, 0.3, 100_001)
+        intensity_profile(two_slit, grid, choice=choice, i0=2.0)  # once-only state stays out of the trace
+        tracemalloc.start()
+        try:
+            intensity_profile(two_slit, grid, choice=choice, i0=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * grid.nbytes
 
     def test_sg_stage_needs_two_slits_and_no_detection(self, two_slit, three_slit):
         with pytest.raises(GeometryError, match="exactly 2 slits, got 3"):
@@ -860,3 +874,6 @@ class TestFringeProfile:
     def test_visibility(self):
         profile = FringeProfile(np.array([0.0, 0.1]), np.array([1.0, 0.0]))
         assert profile.visibility() == pytest.approx(1.0)
+
+    def test_an_all_zero_profile_has_visibility_zero(self):
+        assert FringeProfile(np.array([0.0, 0.1]), np.zeros(2)).visibility() == 0.0

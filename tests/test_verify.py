@@ -229,7 +229,8 @@ class TestStackedChecksEqualTheirLoops:
     def test_multi_slit_oracle_equals_the_per_sample_loop(self, scale):
         rng, err = np.random.default_rng(5), 0.0
         for _ in range(spinfringe.verify._count(1000, scale)):
-            layout, point = spinfringe.verify._random_geometry(rng)
+            layout, theta = spinfringe.verify._random_geometry(rng)
+            point = spinfringe.ScreenPoint(theta)
             reference = classical_intensity(slit_phases(layout, point))
             err = max(err, abs(multi_slit_intensity(layout, point, convention="half") - reference))
         result = spinfringe.verify.check_multi_slit_oracle(np.random.default_rng(5), scale)
