@@ -61,6 +61,8 @@ _FAST_RANGE = 280
 _TIE_MARGIN = 2.0**-40
 #: What joins consecutive rows of a table, and so consecutive row blocks, per output format.
 _ROW_SEPARATOR = {"csv": "\n", "json": ",\n"}
+#: Cells per rendered chunk: ``_write_table``'s row blocks and the renderers' chunks hold about this many.
+_CHUNK_CELLS = 2**13
 
 
 @functools.cache
@@ -99,17 +101,22 @@ def _decimal_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     size = np.abs(values)
     fast = (size >= 10.0**-_FAST_RANGE) & (size < 10.0**_FAST_RANGE)
-    size = np.where(fast, size, 1.0)
-    exponent = np.floor(np.log10(size)).astype(np.int64)
-    p_hi, p_lo, p_high, p_low = _digit_tables()[0].take(exponent + _FAST_RANGE + 1, axis=1)
+    size[~fast] = 1.0
+    exponent = np.floor(np.log10(size)).astype(np.int64) + (_FAST_RANGE + 1)  # the power table's column
+    p_hi, p_lo, p_high, p_low = _digit_tables()[0]
     high, low = _split(size)
-    hi = size * p_hi
-    lo = ((high * p_high - hi) + high * p_low + low * p_high) + low * p_low + size * p_lo
+    hi = size * p_hi.take(exponent)
+    lo = high * p_high.take(exponent) - hi
+    # ((high*p_high - hi) + high*p_low + low*p_high) + low*p_low + size*p_lo, one power row alive at a time
+    for part, power in ((high, p_low), (low, p_high), (low, p_low), (size, p_lo)):
+        lo += part * power.take(exponent)
+    del size, high, low, part  # freed before the casts below, which would otherwise set the chunk's peak
+    exponent -= _FAST_RANGE + 1
     near = np.rint(lo)
-    mantissa = np.minimum(hi, 2.0**62).astype(np.int64) + near.astype(np.int64)  # a cast-safe hi
+    mantissa = np.minimum(hi, 2.0**62, out=hi).astype(np.int64) + near.astype(np.int64)  # a cast-safe hi
     zero = values == 0
     mantissa[zero], exponent[zero] = 0, 0
-    residual = lo - near
+    residual = np.subtract(lo, near, out=lo)
     exact = fast & (np.abs(residual) < 0.5 - _TIE_MARGIN) & (mantissa > 10**16) & (mantissa < 10**17)
     missed = np.flatnonzero(~(exact | zero))
     texts = [_FMT % value for value in np.abs(values[missed]).tolist()]
@@ -122,8 +129,8 @@ def _csv_cells(block: np.ndarray) -> np.ndarray:
     _, heads, quads, exponents = _digit_tables()
     values = block.ravel()
     words = np.empty((values.size, 7), np.uint32)  # head, 4 quads, exponent; separator in the last byte
-    for start in range(0, values.size, 2**14):  # in chunks whose temporaries stay in cache
-        chunk, cells = values[start:start + 2**14], words[start:start + 2**14]
+    for start in range(0, values.size, _CHUNK_CELLS):  # in chunks whose temporaries stay in cache
+        chunk, cells = values[start:start + _CHUNK_CELLS], words[start:start + _CHUNK_CELLS]
         mantissa, exponent = _decimal_parts(chunk)[:2]
         lead = mantissa // 10**16
         cells[:, 0] = heads.take(lead + 10 * np.signbit(chunk))
@@ -195,18 +202,29 @@ def _json_tables() -> tuple[np.ndarray, ...]:
     return leads, quads, exponents, places, masks.view(np.uint64).reshape(-1, 6)
 
 
-def _json_record(block: np.ndarray, segments: list[str]) -> np.ndarray:
-    """A finite block's JSON rows as NUL-padded words: per row ``segments[k]`` and column k's number, then
-    the last segment, but no ``_ROW_SEPARATOR`` after the last row (``json.dumps`` escapes NUL in a key).
+@functools.lru_cache(maxsize=4)
+def _json_template(columns: tuple, keyed: bool) -> tuple[tuple[int, ...], np.ndarray]:
+    """A table's JSON row template, built once per table: its column order and ``_json_record``'s ``heads``."""
+    order = tuple(sorted(range(len(columns)), key=columns.__getitem__) if keyed else range(len(columns)))
+    opening, closing = "{}" if keyed else "[]"
+    segments = [f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if keyed else ''}"
+                for k, j in enumerate(order)] + [f"\n    {closing}{_ROW_SEPARATOR['json']}"]
+    width = -(-max(map(len, segments)) // 4)
+    heads = b"".join(text.encode("ascii").rjust(4 * width, b"\0") for text in segments)
+    return order, np.frombuffer(heads, np.uint32).reshape(-1, width)
+
+
+def _json_record(block: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """A finite block's JSON rows as NUL-padded words: per row ``heads[k]`` (``_json_template``) and column k's
+    number, then the last head, but no ``_ROW_SEPARATOR`` after the last row (``json.dumps`` escapes NUL in a key).
     A number is a 48-byte cell, ``-0.000``, 17 digits each followed by a point, ``0e±dd(d)``, whose key's
     mask keeps ``repr``'s bytes; the key's form is E + 4 for -4 <= E < 16, else 20."""
     leads, quads, exponents, places, masks = _json_tables()
-    width = -(-max(map(len, segments)) // 4)
-    heads = np.frombuffer(b"".join(text.encode("ascii").rjust(4 * width, b"\0") for text in segments), np.uint32)
+    width = heads.shape[1]
     record = np.empty((len(block), block.shape[1] * (width + 12) + width), np.uint32)
     units = record[:, :-width].reshape(*block.shape, width + 12)  # a view: it splits a contiguous axis
-    units[..., :width], record[:, -width:] = heads.reshape(-1, width)[:-1], heads[-width:]
-    rows = max(1, 2**14 // block.shape[1])
+    units[..., :width], record[:, -width:] = heads[:-1], heads[-1]
+    rows = max(1, _CHUNK_CELLS // block.shape[1])
     for start in range(0, len(block), rows):  # in row chunks whose temporaries stay in cache
         chunk = block[start:start + rows].ravel()
         mantissa, exponent, _ = _shortest_parts(chunk)
@@ -243,12 +261,9 @@ def render_profile(columns, column_arrays, output_format: str, **scalars) -> str
         raise ValueError("output tables hold finite numbers only")
     if output_format == "csv":
         return _csv_text(block)
-    order = sorted(range(len(columns)), key=columns.__getitem__) if scalars else range(len(columns))
-    opening, closing = "{}" if scalars else "[]"
-    segments = [f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if scalars else ''}"
-                for k, j in enumerate(order)] + [f"\n    {closing}{_ROW_SEPARATOR[output_format]}"]
+    order, heads = _json_template(tuple(columns), bool(scalars))
     # each step's input is freed once it returns, so at most two copies of the record are alive
-    return _json_record(block[:, order], segments).tobytes().translate(None, b"\0").decode("ascii")
+    return _json_record(block[:, order], heads).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:
@@ -269,9 +284,9 @@ def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
 
     ``table`` is the whole columns, or a function from a row slice to that
     block's columns (``config.samples`` rows).  The head, one ``render_profile``
-    chunk per ``_row_blocks`` block and the tail go into the temp file in turn,
-    so neither the text nor a function's table is ever held whole.  Any
-    failure removes the temp file and leaves a file at the path as it was.
+    chunk per block of ``_CHUNK_CELLS`` cells (or one row) and the tail go into
+    the temp file in turn, so neither the text nor a function's table is ever
+    held whole.  Any failure removes the temp file and leaves the path's file as it was.
     A new file gets the mode ``open(path, "w")`` gives; an overwritten one keeps its own.
     """
     count = config.samples if callable(table) else len(table[0])
@@ -286,9 +301,11 @@ def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
             with contextlib.suppress(FileNotFoundError):  # an overwritten file keeps its mode
                 os.chmod(tmp_name, stat.S_IMODE(os.stat(path).st_mode))
             handle.write(head)
-            for rows in _row_blocks(count, len(columns)):
-                if rows.start:
+            step = max(1, _CHUNK_CELLS // len(columns))
+            for start in range(0, count, step):
+                if start:
                     handle.write(_ROW_SEPARATOR[config.output_format])
+                rows = slice(start, min(start + step, count))
                 handle.write(render_profile(columns, block_of(rows), config.output_format, **scalars))
             handle.write(tail)
         os.replace(tmp_name, path)

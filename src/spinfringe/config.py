@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -42,6 +43,10 @@ MAX_SLITS = 1_000
 #: S x (distinct baselines) and the oracle's S x N, so one cap covers every
 #: command; 1,000 slits still fit at the default 1,001 samples (5.01e8 cells).
 MAX_CELLS = 10**9
+
+#: Largest accepted a-priori phase error eps * max|k| * (a_N - a_1) of the pair phases k*(a_j - a_i): past
+#: it the model's own cosine arguments lose the 1e-9 to which the model is checked against the oracle.
+MAX_PHASE_ERROR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,15 +99,17 @@ class SimulationConfig:
         _require(cells <= MAX_CELLS, "samples",
                  f"{self.samples} samples at {n} slits make {cells} table cells, over {MAX_CELLS}")
         grid = _as_field("samples", fringe._theta_grid, self.theta_grid())
-        scale = _as_field("phase_convention", fringe._rotation_scale, self.phase_convention)
-        # the largest numbers the model forms: k, then the rotation angle 2*scale*k*(a_j - a_i)
+        _as_field("phase_convention", fringe._rotation_scale, self.phase_convention)
+        # the largest numbers the model forms: k, then the pair phases k*(a_j - a_i), whose rounding is
+        # bounded by eps*|k|*(a_N - a_1) whatever the offset; under the bound the rotation angles are finite
         theta = max(abs(self.theta_min), abs(self.theta_max))
         k_max = 2.0 * math.pi * math.sin(theta) / self.wavelength
         _require(math.isfinite(k_max), "wavelength", f"k = 2*pi*sin(theta)/wavelength overflows: {k_max}")
-        span = 2.0 * max(map(abs, layout.slit_positions))  # bounds every |a_j - a_i|
-        angle = k_max * span * (2.0 * scale)
-        _require(math.isfinite(angle), span_field, f"pair rotation angles overflow at k = {k_max:g}: {angle}")
-        # and 2*(L*tan(theta) + max|a_k|)/L bounds every (x - a_k)/L, with room for ulps of np.tan
+        error = sys.float_info.epsilon * k_max * (layout.slit_positions[-1] - layout.slit_positions[0])
+        _require(error <= MAX_PHASE_ERROR, span_field,
+                 f"pair phase error bound eps*k*(a_N - a_1) is {error:.3g} at k = {k_max:g}, over {MAX_PHASE_ERROR:g}")
+        span = 2.0 * max(map(abs, layout.slit_positions))
+        # 2*(L*tan(theta) + max|a_k|)/L bounds every (x - a_k)/L, with room for ulps of np.tan
         reach = (2.0 * self.screen_distance * math.tan(theta) + span) / self.screen_distance
         _require(math.isfinite(reach), "screen_distance", f"screen offsets (x - a_k)/L overflow: {reach}")
         _as_field("transmitted", fringe._check_choice, self.transmitted)

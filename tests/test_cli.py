@@ -30,7 +30,7 @@ from spinfringe.cli import (
     run_geometry_dump,
     run_simulate,
 )
-from spinfringe.config import _FIELD_NAMES, MAX_CELLS, MAX_SAMPLES, MAX_SLITS, config_from_dict, load_config, merge_overrides, resolve_output_path
+from spinfringe.config import _FIELD_NAMES, MAX_CELLS, MAX_PHASE_ERROR, MAX_SAMPLES, MAX_SLITS, config_from_dict, load_config, merge_overrides, resolve_output_path
 from spinfringe.fringe import _BLOCK_CELLS, _BLOCK_ROWS, _row_blocks
 
 
@@ -233,7 +233,7 @@ class TestMalformedInput:
             (["--theta-min", "0.1", "--theta-max", "0.10000000000000003", "--samples", "10"], "samples"),
             # k = 2*pi*sin(theta)/wavelength overflows
             (["--wavelength", "1e-320"], "wavelength"),
-            # k*(a_j - a_i) overflows; in the paper convention only the doubled rotation angle does
+            # k*(a_j - a_i) overflows, far past the phase-error bound
             (["--slit-count", "3", "--separation", "1e308"], "separation"),
             (["--slit-positions=-4e307,4e307", "--wavelength", "1.238", "--phase-convention", "paper"],
              "slit_positions"),
@@ -263,10 +263,29 @@ class TestMalformedInput:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_doubled_rotation_angle_fits_in_the_half_convention(self, tmp_path):
-        # the layout the paper convention rejects above keeps finite phases at half the angle
-        argv = ["simulate", "--slit-positions=-4e307,4e307", "--wavelength", "1.238", "--samples", "11"]
-        assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 0
+    @pytest.mark.parametrize("command", ["simulate", "compare", "geometry"])
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            # at 500 nm and |theta| <= 0.3, eps*max|k| is 8.2e-10 per meter of span, so 1.25 m is over 1e-9
+            (["--slit-positions", "0,1.25"], "slit_positions"),
+            (["--slit-count", "6", "--separation", "0.25"], "separation"),
+            # half the paper convention's rotation angle fits in a float here, but the phases are meaningless
+            (["--slit-positions=-4e307,4e307", "--wavelength", "1.238"], "slit_positions"),
+        ],
+    )
+    def test_a_span_past_the_phase_error_bound_is_config_error(self, tmp_path, capsys, command, argv, name):
+        code = main([command, *argv, "--samples", "11", "-o", str(tmp_path / "out.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert re.fullmatch(rf"config error: {name}: pair phase error bound [^\n]*\n", captured.err)
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("positions", ["0,1.2", "1000,1001.2"])
+    def test_a_span_inside_the_phase_error_bound_is_accepted_at_any_offset(self, tmp_path, capsys, positions):
+        assert main(["compare", "--slit-positions", positions, "--samples", "11", "-o", str(tmp_path / "c.csv")]) == 0
+        assert float(capsys.readouterr().out.split("max_abs_diff = ")[1]) <= 1e-9
 
     @pytest.mark.parametrize("argv,flag", [(["--detection", "x"], "--detection"),
                                            (["--slit-positions", "1e-6,b"], "--slit-positions")])
@@ -656,6 +675,37 @@ class TestCompare:
         _, max_abs_diff = run_compare(config)
         assert max_abs_diff <= 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        offset=st.floats(-1e3, 1e3),
+        span=st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+        inner=st.lists(st.floats(0.0, 1.0), max_size=6),
+        wavelength=st.floats(-9.0, -6.0).map(lambda e: 10.0**e),
+    )
+    def test_every_layout_inside_the_phase_error_bound_meets_both_tolerances(self, offset, span, inner, wavelength):
+        positions = sorted({offset + span * fraction for fraction in (0.0, 1.0, *inner)})
+        bound = sys.float_info.epsilon * 2.0 * math.pi * math.sin(0.3) / wavelength * (positions[-1] - positions[0])
+        with tempfile.TemporaryDirectory() as tmp:
+            config = merge_overrides(
+                default_config(),
+                {"slit_positions": positions, "wavelength": wavelength, "samples": 101,
+                 "output_path": os.path.join(tmp, "cmp.csv")},
+            )
+            try:
+                layout, grid = config.validate()
+            except ConfigError as exc:
+                assert exc.field == "slit_positions" and bound > MAX_PHASE_ERROR
+                return
+            assert bound <= MAX_PHASE_ERROR
+            _, max_abs_diff = run_compare(config)
+        assert max_abs_diff <= 1e-9
+        # the pairwise rule over the separations a_j - a_i, with the offset gone before any phase is formed
+        pos, k = np.array(positions), 2.0 * math.pi * np.sin(grid) / wavelength
+        first, second = np.triu_indices(pos.size, 1)
+        cosines = np.cos(np.multiply.outer(np.abs(k), pos[second] - pos[first]))
+        reference = (pos.size + 2.0 * cosines.sum(-1)) / pos.size**2
+        assert np.abs(spinfringe.intensity_profile(layout, grid).intensities - reference).max() <= 1e-12
+
     def test_slits_that_centring_would_merge_keep_their_raw_positions(self, tmp_path):
         # 1e-30 - 0.5 and 2e-30 - 0.5 both round to -0.5, which no layout may hold twice
         config = merge_overrides(
@@ -713,8 +763,10 @@ class TestGeometryDump:
 
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_wide_dump_spans_cell_limited_blocks(self, tmp_path, monkeypatch, output_format):
-        # N = 40 gives 1 + 40 + 780 = 821 columns, so 2^18 cells hold 319 rows
+        # N = 40 gives 1 + 40 + 780 = 821 columns, so a block of _CHUNK_CELLS cells holds 9 rows
         blocks, render = [], cli.render_profile
+        per_block = cli._CHUNK_CELLS // 821
+        assert 1 < per_block < 700
 
         def recording(columns, column_arrays, *args, **kwargs):
             blocks.append(len(column_arrays[0]))
@@ -727,7 +779,7 @@ class TestGeometryDump:
              "output_path": str(tmp_path / f"wide.{output_format}")},
         )
         text = run_geometry_dump(config).read_text()
-        assert blocks == [319, 319, 62]
+        assert blocks == [per_block] * (700 // per_block) + [700 % per_block] * (700 % per_block > 0)
         if output_format == "csv":
             lines = text.splitlines()
             header, rows = lines[0].split(","), [[float(x) for x in line.split(",")] for line in lines[1:]]
@@ -762,9 +814,26 @@ class TestGeometryDump:
                 tracemalloc.stop()
 
         run_geometry_dump(config(3))  # first calls allocate once-only state; keep it out of the trace
-        # 60 slits give 1,831 columns, 143 rows a block; a whole table costs tens of KB per row
+        # 60 slits give 1,831 columns, 4 rows a block; a whole table costs tens of KB per row
         per_row = (traced_peak(300) - traced_peak(150)) / 150
         assert per_row < 100
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_wide_dump_peak_memory_is_bounded_by_the_chunk(self, tmp_path, output_format):
+        config = merge_overrides(
+            default_config(),
+            {"slit_count": 60, "samples": 300, "output_format": output_format,
+             "output_path": str(tmp_path / f"geo.{output_format}")},
+        )
+        run_geometry_dump(config)  # first calls allocate once-only state; keep it out of the trace
+        tracemalloc.start()
+        try:
+            run_geometry_dump(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1,831 columns: blocks of 2^18 cells held 19 MB (CSV) and 36 MB (JSON) of cells and text at once
+        assert peak < 4e6
 
 
 class TestRowBlocks:
@@ -803,7 +872,8 @@ class TestStreamedTables:
     @settings(max_examples=40, deadline=None)
     @given(
         layout=st.sampled_from(["csv", "samples", "rows"]),
-        rows=st.sampled_from([2, 999, 1000, 1001, 2001]),
+        blocks=st.sampled_from([0, 1, 2]),
+        offset=st.sampled_from([-1, 0, 1]),
         columns=st.lists(
             st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
             min_size=2, max_size=6, unique=True,
@@ -818,8 +888,10 @@ class TestStreamedTables:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_streamed_text_equals_the_one_shot_text(
-        self, layout, rows, columns, drawn, scalar_keys, scalar_texts, seed
+        self, layout, blocks, offset, columns, drawn, scalar_keys, scalar_texts, seed
     ):
+        # just below, at and just above one and two whole row blocks of the drawn width, or 2 rows
+        rows = max(2, blocks * (cli._CHUNK_CELLS // len(columns)) + offset)
         rng = np.random.default_rng(seed)
         table = rng.standard_normal((rows, len(columns))) * 10.0 ** rng.integers(-300, 300, (rows, len(columns)))
         planted = [*_EDGE_VALUES, *drawn][:table.size]
@@ -866,7 +938,8 @@ class TestStreamedTables:
             return render(*args, **kwargs)
 
         monkeypatch.setattr(cli, "render_profile", fail_on_second_block)
-        code = main(["simulate", "--samples", "2001", "--output-format", output_format, "-o", str(out)])
+        samples = 2 * (cli._CHUNK_CELLS // 2) + 1  # three blocks of the two-column profile
+        code = main(["simulate", "--samples", str(samples), "--output-format", output_format, "-o", str(out)])
         assert code == 3
         assert "device full" in capsys.readouterr().err
         assert len(calls) == 2
@@ -879,10 +952,11 @@ class TestStreamedTables:
             default_config(),
             {"output_format": output_format, "output_path": str(tmp_path / f"table.{output_format}")},
         )
-        column = np.linspace(0.0, 1.0, 1500)
-        column[1200] = np.nan  # in the second block, after the first was written
+        block = cli._CHUNK_CELLS // 2  # rows of a two-column block
+        column = np.linspace(0.0, 1.0, block + 500)
+        column[block + 200] = np.nan  # in the second block, after the first was written
         with pytest.raises(ValueError, match="finite"):
-            _write_table(config, ["theta", "intensity"], [np.linspace(-0.1, 0.1, 1500), column], i0=1.0)
+            _write_table(config, ["theta", "intensity"], [np.linspace(-0.1, 0.1, block + 500), column], i0=1.0)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("output_format", ["csv", "json"])
