@@ -61,15 +61,15 @@ _FAST_RANGE = 280
 _TIE_MARGIN = 2.0**-40
 #: What joins consecutive rows of a table, and so consecutive row blocks, per output format.
 _ROW_SEPARATOR = {"csv": "\n", "json": ",\n"}
-#: Cells per rendered chunk: ``_write_table``'s row blocks and the renderers' chunks hold about this many.
+#: Cells per row block (at least one row) that ``_write_table`` hands ``render_profile``, which renders it whole.
 _CHUNK_CELLS = 2**13
 
 
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The CSV engine's tables, built on first use with exact ``int`` arithmetic: per exponent
-    estimate E, 10**(16 - E) as fl(.), the rounded rest and fl(.)'s Veltkamp halves; then as
-    zero-padded 4-byte words the sign, lead digit and point, ``'%04d' % n`` and ``'e%+03d' % E``.
+    """The digit engine's tables, built on first use with exact ``int`` arithmetic: per exponent
+    estimate E, 10**(16 - E) as fl(.), the rounded rest and fl(.)'s Veltkamp halves; then as zero-padded 4-byte
+    words the sign byte (NUL or ``-``), lead digit and point and ``'%04d' % n``; as 8-byte ones, ``'e%+03d' % E``.
     """
     powers = []
     for k in range(17 + _FAST_RANGE, 15 - _FAST_RANGE, -1):  # column 0 is E = -1 - _FAST_RANGE
@@ -80,8 +80,8 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     heads = b"".join(b"%s%d.\0" % (sign, d) for sign in (b"\0", b"-") for d in range(10))
     quads = b"".join(b"%04d" % n for n in range(10_000))
     exponents = b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in range(-324, 309))
-    heads, quads, exponents = (np.frombuffer(text, np.uint32) for text in (heads, quads, exponents))
-    return np.array(powers).T.copy(), heads, quads, exponents.reshape(-1, 2).T.copy()
+    heads, quads = (np.frombuffer(text, np.uint32) for text in (heads, quads))
+    return np.array(powers).T.copy(), heads, quads, np.frombuffer(exponents, np.uint64)
 
 
 def _split(x):
@@ -110,7 +110,7 @@ def _decimal_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # ((high*p_high - hi) + high*p_low + low*p_high) + low*p_low + size*p_lo, one power row alive at a time
     for part, power in ((high, p_low), (low, p_high), (low, p_low), (size, p_lo)):
         lo += part * power.take(exponent)
-    del size, high, low, part  # freed before the casts below, which would otherwise set the chunk's peak
+    del size, high, low, part  # freed before the casts below, which would otherwise set the block's peak
     exponent -= _FAST_RANGE + 1
     near = np.rint(lo)
     mantissa = np.minimum(hi, 2.0**62, out=hi).astype(np.int64) + near.astype(np.int64)  # a cast-safe hi
@@ -125,21 +125,19 @@ def _decimal_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _csv_cells(block: np.ndarray) -> np.ndarray:
-    """A finite (rows, columns) block's ``_FMT`` CSV text as zero-padded 28-byte cells."""
+    """A finite (rows, columns) block's ``_FMT`` CSV text as zero-padded 28-byte cells, rendered whole: the
+    sign-byte head, four ``'%04d'`` quads and the exponent word (``_digit_tables``), then the separator byte."""
     _, heads, quads, exponents = _digit_tables()
     values = block.ravel()
+    mantissa, exponent = _decimal_parts(values)[:2]
     words = np.empty((values.size, 7), np.uint32)  # head, 4 quads, exponent; separator in the last byte
-    for start in range(0, values.size, _CHUNK_CELLS):  # in chunks whose temporaries stay in cache
-        chunk, cells = values[start:start + _CHUNK_CELLS], words[start:start + _CHUNK_CELLS]
-        mantissa, exponent = _decimal_parts(chunk)[:2]
-        lead = mantissa // 10**16
-        cells[:, 0] = heads.take(lead + 10 * np.signbit(chunk))
-        rest = mantissa - lead * 10**16
-        for column, place in enumerate((10**12, 10**8, 10**4, 1), 1):
-            quad = rest // place
-            cells[:, column] = quads.take(quad)
-            rest -= quad * place
-        cells[:, 5], cells[:, 6] = exponents.take(exponent + 324, axis=1)
+    lead = mantissa // 10**16
+    words[:, 0], rest = heads.take(lead + 10 * np.signbit(values)), mantissa - lead * 10**16
+    for column, place in enumerate((10**12, 10**8, 10**4, 1), 1):
+        quad = rest // place
+        words[:, column] = quads.take(quad)
+        rest -= quad * place
+    words[:, 5:].view(np.uint64)[:, 0] = exponents.take(exponent + 324)  # one unaligned 8-byte word
     text = words.view(np.uint8)
     text[:, 27] = ord(",")
     text[block.shape[1] - 1::block.shape[1], 27] = ord("\n")
@@ -182,24 +180,23 @@ def _shortest_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 @functools.cache
 def _json_tables() -> tuple[np.ndarray, ...]:
-    """The JSON cells' tables, built on first use: 8-byte words per lead digit, quad and E; per place j,
-    4j plus a nonzero quad's digits less trailing zeros; the byte mask of each (sign, count, form) key."""
-    digits = np.frombuffer(b"".join(b"%04d" % q for q in range(10_000)), np.uint8).reshape(-1, 4)
+    """The JSON cells' tables, built on first use: 8-byte words per sign byte (NUL or ``-``) and lead digit, per
+    quad, and ``_digit_tables``' own per E; per place j, 4j plus a nonzero quad's digits less trailing zeros; the
+    byte mask of each (count, form) key, which keeps the sign byte."""
+    digits = _digit_tables()[2].view(np.uint8).reshape(-1, 4)
     quads = np.stack([digits, np.full_like(digits, ord("."))], axis=2).reshape(-1, 8).view(np.uint64).ravel()
-    masks = np.zeros((2, 17, 21, 48), np.uint8)  # digit i is byte 2i + 4, the point after it byte 2i + 5
+    masks = np.zeros((17, 21, 48), np.uint8)  # digit i is byte 2i + 4, the point after it byte 2i + 5
     for n, point in itertools.product(range(1, 18), range(-4, 17)):
         if point == 16:  # d[.ddd]e±dd(d)
-            keep = [*range(6, 2 * n + 5, 2), *([7] if n > 1 else []), *range(41, 48)]
-        elif point >= 0:  # ddd.ddd or ddd.0
-            keep = [*range(6, 2 * max(n, point + 1) + 5, 2), 2 * point + 7, *([40] if n <= point + 1 else [])]
+            keep = [*range(6, 2 * n + 5, 2), *([7] if n > 1 else []), *range(40, 48)]
+        elif point >= 0:  # ddd.ddd or ddd.0, whose 0 is the digit slot after the point
+            keep = [*range(6, 2 * max(n, point + 2) + 5, 2), 2 * point + 7]
         else:  # 0.000ddd
             keep = [1, 2, *range(3, 2 - point), *range(6, 2 * n + 5, 2)]
-        masks[:, n - 1, point + 4, keep] = 0xFF
-    masks[1, ..., 0] = 0xFF  # the minus sign
-    leads = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
-    exponents = np.frombuffer(b"".join((b"0e%+03d" % e).ljust(8, b"\0") for e in range(-324, 309)), np.uint64)
+        masks[n - 1, point + 4, [0, *keep]] = 0xFF
+    leads = np.frombuffer(b"".join(b"%s0.000%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)), np.uint64)
     places = (np.arange(10_000) > 0) * (4 * np.arange(4)[:, None] + 4 - np.argmax(digits[:, ::-1] > 48, axis=1))
-    return leads, quads, exponents, places, masks.view(np.uint64).reshape(-1, 6)
+    return leads, quads, _digit_tables()[3], places, masks.view(np.uint64).reshape(-1, 6)
 
 
 @functools.lru_cache(maxsize=4)
@@ -215,30 +212,28 @@ def _json_template(columns: tuple, keyed: bool) -> tuple[tuple[int, ...], np.nda
 
 
 def _json_record(block: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """A finite block's JSON rows as NUL-padded words: per row ``heads[k]`` (``_json_template``) and column k's
-    number, then the last head, but no ``_ROW_SEPARATOR`` after the last row (``json.dumps`` escapes NUL in a key).
-    A number is a 48-byte cell, ``-0.000``, 17 digits each followed by a point, ``0e±dd(d)``, whose key's
-    mask keeps ``repr``'s bytes; the key's form is E + 4 for -4 <= E < 16, else 20."""
+    """A finite block's JSON rows as NUL-padded words, rendered whole: per row ``heads[k]`` (``_json_template``) and
+    column k's number, then the last head, but no ``_ROW_SEPARATOR`` after the last row (``json.dumps`` escapes NUL
+    in a key).  A number is a 48-byte cell, the sign byte and ``0.000``, 17 digits each followed by a point, then
+    ``e±dd(d)``, whose key's mask keeps ``repr``'s bytes; the key's form is E + 4 for -4 <= E < 16, else 20."""
     leads, quads, exponents, places, masks = _json_tables()
+    values = block.ravel()
+    mantissa, exponent, _ = _shortest_parts(values)
+    cells = np.empty((values.size, 6), np.uint64)  # lead, 4 quads, exponent
+    lead = mantissa // 10**16
+    cells[:, 0], rest, last = leads.take(lead + 10 * np.signbit(values)), mantissa - lead * 10**16, 0
+    for column, place in enumerate((10**12, 10**8, 10**4, 1), 1):
+        quad = rest // place
+        cells[:, column] = quads.take(quad)
+        last = np.maximum(last, places[column - 1].take(quad))
+        rest -= quad * place
+    cells[:, 5] = exponents.take(exponent + 324)
+    cells &= masks.take(last * 21 + np.where((exponent >= -4) & (exponent < 16), exponent + 4, 20), axis=0)
     width = heads.shape[1]
     record = np.empty((len(block), block.shape[1] * (width + 12) + width), np.uint32)
     units = record[:, :-width].reshape(*block.shape, width + 12)  # a view: it splits a contiguous axis
     units[..., :width], record[:, -width:] = heads[:-1], heads[-1]
-    rows = max(1, _CHUNK_CELLS // block.shape[1])
-    for start in range(0, len(block), rows):  # in row chunks whose temporaries stay in cache
-        chunk = block[start:start + rows].ravel()
-        mantissa, exponent, _ = _shortest_parts(chunk)
-        cells = np.empty((chunk.size, 6), np.uint64)  # lead, 4 quads, exponent
-        cells[:, 0], rest, last = leads.take(mantissa // 10**16), mantissa % 10**16, 0
-        for column, place in enumerate((10**12, 10**8, 10**4, 1), 1):
-            quad = rest // place
-            cells[:, column] = quads.take(quad)
-            last = np.maximum(last, places[column - 1].take(quad))
-            rest -= quad * place
-        cells[:, 5] = exponents.take(exponent + 324)
-        form = np.where((exponent >= -4) & (exponent < 16), exponent + 4, 20)
-        cells &= masks.take((np.signbit(chunk) * 17 + last) * 21 + form, axis=0)
-        units[start:start + rows, :, width:] = cells.view(np.uint32).reshape(-1, block.shape[1], 12)
+    units[..., width:] = cells.view(np.uint32).reshape(*block.shape, 12)
     record.view(np.uint8)[-1:, -len(_ROW_SEPARATOR["json"]):] = 0
     return record
 
@@ -283,9 +278,9 @@ def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
     """Write a table in the config's output format atomically (temp file + rename).
 
     ``table`` is the whole columns, or a function from a row slice to that
-    block's columns (``config.samples`` rows).  The head, one ``render_profile``
-    chunk per block of ``_CHUNK_CELLS`` cells (or one row) and the tail go into
-    the temp file in turn, so neither the text nor a function's table is ever
+    block's columns (``config.samples`` rows).  The head, the ``render_profile`` text
+    of each block of ``_CHUNK_CELLS`` cells or one row, however wide, and the tail go
+    into the temp file in turn, so neither the text nor a function's table is ever
     held whole.  Any failure removes the temp file and leaves the path's file as it was.
     A new file gets the mode ``open(path, "w")`` gives; an overwritten one keeps its own.
     """

@@ -797,6 +797,37 @@ class TestGeometryDump:
                 assert np.array_equal(table[f"phi_{i}_{j}"], spinfringe.pair_phase(layout, grid, i, j))
 
     @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_a_row_wider_than_a_block_is_rendered_as_one_row_blocks(self, tmp_path, monkeypatch, output_format):
+        # N = 130 gives 1 + 130 + 8,385 = 8,516 columns, more than one block of _CHUNK_CELLS cells
+        blocks, render = [], cli.render_profile
+        assert 1 + 130 + 130 * 129 // 2 == 8516 > cli._CHUNK_CELLS
+
+        def recording(columns, column_arrays, *args, **kwargs):
+            blocks.append(len(column_arrays[0]))
+            return render(columns, column_arrays, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "render_profile", recording)
+        config = merge_overrides(
+            default_config(),
+            {"slit_count": 130, "separation": 2e-6, "samples": 3, "output_format": output_format,
+             "output_path": str(tmp_path / f"wide.{output_format}")},
+        )
+        text = run_geometry_dump(config).read_text()
+        assert blocks == [1, 1, 1]
+        layout, grid = config.geometry(), config.theta_grid()
+        first, second = (index + 1 for index in np.triu_indices(130, 1))
+        table = np.column_stack([grid, spinfringe.incidence_angles(layout, grid),
+                                 spinfringe.pair_phase(layout, grid, first, second)])
+        if output_format == "csv":
+            lines = text.splitlines()
+            assert len(lines) == 4 and len(lines[0].split(",")) == 8516
+            assert [line.split(",") for line in lines[1:]] == [["%.16e" % value for value in row] for row in table]
+        else:
+            document = json.loads(text)
+            assert text == json.dumps(document, sort_keys=True, indent=2) + "\n"
+            assert len(document["columns"]) == 8516 and document["rows"] == table.tolist()
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_peak_memory_grows_by_the_grid_not_the_pair_table(self, tmp_path, output_format):
         def config(samples):
             return merge_overrides(

@@ -271,3 +271,26 @@ class TestStackedChecksEqualTheirLoops:
                 spinfringe.verify._random_geometry(looped)
             check(stacked, 0.2)
             assert looped.bit_generator.state == stacked.bit_generator.state
+
+
+class TestRandomGeometry:
+    def test_colliding_draws_are_spread_apart_before_the_angle_is_drawn(self):
+        class Stub:
+            """Hands out fixed draws in order: a slit count, positions within 1 nm, lambda, L, then theta."""
+
+            def __init__(self):
+                self.draws = [3, np.array([2e-6, 1e-6, 1e-6 + 5e-10]), 5e-7, 1.0, 0.25]
+
+            def integers(self, low, high):
+                return self.draws.pop(0)
+
+            def uniform(self, low, high, size=None):
+                return self.draws.pop(0)
+
+        rng = Stub()
+        layout, theta = spinfringe.verify._random_geometry(rng)
+        positions = np.array(layout.slit_positions)
+        assert rng.draws == [] and theta == 0.25
+        assert np.all(np.diff(positions) > 1e-9)
+        assert np.allclose(positions, [1e-6, 1e-6 + 2.5e-9, 2e-6 + 4e-9], rtol=0, atol=1e-15)
+        assert (layout.wavelength, layout.screen_distance) == (5e-7, 1.0)
