@@ -44,8 +44,6 @@ from .geometry import (
 from .oracle import classical_intensity, independent_intensity, pairwise_identity_check
 from .qstate import (
     NORM_TOL,
-    SPIN_DOWN,
-    SPIN_UP,
     Ensemble,
     Spinor,
     TwoSpinState,
@@ -81,8 +79,6 @@ __all__ = [
     "PHASE_CONVENTIONS",
     "PairRotation",
     "PairState",
-    "SPIN_DOWN",
-    "SPIN_UP",
     "ScreenPoint",
     "SimulationConfig",
     "SlitGeometry",

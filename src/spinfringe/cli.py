@@ -53,7 +53,7 @@ from .oracle import classical_intensity, independent_intensity
 
 
 #: Fixed 17-significant-digit decimal form; deterministic and lossless.  CSV blocks are
-#: rendered by ``_decimal_parts`` and ``_csv_text``, an implementation of this format, not another.
+#: rendered by ``_decimal_parts`` and ``_csv_cells``, an implementation of this format, not another.
 _FMT = "%.16e"
 #: The digit engine's fast path takes 1e-280 <= |x| < 1e280, which keeps its power table split-safe.
 _FAST_RANGE = 280
@@ -143,12 +143,6 @@ def _csv_cells(block: np.ndarray) -> np.ndarray:
     text[block.shape[1] - 1::block.shape[1], 27] = ord("\n")
     text[-1:, 27] = 0
     return text
-
-
-def _csv_text(block: np.ndarray) -> str:
-    """A finite (rows, columns) block as ``_FMT`` CSV rows, byte for byte what ``%`` writes."""
-    # each step's input is freed once it returns, so at most two copies of the cells are alive
-    return _csv_cells(block).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _shortest_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,15 +244,18 @@ def render_profile(columns, column_arrays, output_format: str, **scalars) -> str
     JSON numbers are ``repr``, the ``float.__repr__`` that ``json`` writes, so
     the text is byte-identical to ``json.dumps``.  A non-finite value, which
     ``json`` would spell otherwise, raises ``ValueError`` in either format.
+    Both formats end in one text chain (``tobytes``, ``translate``, ``decode``)
+    started from the NUL-padded byte record as a temporary, so each step's input
+    is freed once the next returns and at most two copies of it are alive.
     """
     block = np.column_stack(column_arrays)
     if not np.isfinite(block).all():
         raise ValueError("output tables hold finite numbers only")
-    if output_format == "csv":
-        return _csv_text(block)
-    order, heads = _json_template(tuple(columns), bool(scalars))
-    # each step's input is freed once it returns, so at most two copies of the record are alive
-    return _json_record(block[:, order], heads).tobytes().translate(None, b"\0").decode("ascii")
+    if output_format == "json":
+        order, heads = _json_template(tuple(columns), bool(scalars))
+    # no name binds the record: one would hold it through the chain, a third copy at the peak
+    return (_csv_cells(block) if output_format == "csv" else _json_record(block[:, order], heads)
+            ).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:
@@ -434,16 +431,13 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify()
         config = _config_from_args(args)
-        if args.command == "simulate":
-            path = run_simulate(config)
-            print(f"wrote {path} ({config.samples} samples)")
-        elif args.command == "compare":
+        if args.command == "compare":
             path, max_abs_diff = run_compare(config)
-            print(f"wrote {path} ({config.samples} samples)")
+        else:
+            path = (run_simulate if args.command == "simulate" else run_geometry_dump)(config)
+        print(f"wrote {path} ({config.samples} samples)")
+        if args.command == "compare":
             print(f"max_abs_diff = {_FMT % max_abs_diff}")
-        elif args.command == "geometry":
-            path = run_geometry_dump(config)
-            print(f"wrote {path} ({config.samples} samples)")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

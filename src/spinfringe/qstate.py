@@ -46,10 +46,6 @@ class Spinor:
         return abs(self.norm2() - 1.0) <= tol
 
 
-SPIN_UP = Spinor(1.0, 0.0)
-SPIN_DOWN = Spinor(0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class TwoSpinState:
     """Entangled pair state over the ordered basis (|++>, |+->, |-+>, |-->); amplitudes are finite."""

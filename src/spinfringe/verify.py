@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fringe, geometry, oracle, qstate, rotor
-from .fringe import _BLOCK_ROWS, _row_blocks  # _BLOCK_ROWS: the checks' block size, bound here too
 
 DEFAULT_SEED = 20240811
+#: Rows per ``_sampled`` block; the checks draw from one shared generator block by block, so the report depends on it.
+_BLOCK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ def _max_error(errors) -> float:
 
 def _sampled(n: int, scale: float, law) -> float:
     """``_max_error`` of the error arrays ``law(rows)`` yields for each row block of ``_count(n, scale)``."""
-    return _max_error(e for block in _row_blocks(_count(n, scale)) for e in law(block.stop - block.start))
+    count = _count(n, scale)
+    return _max_error(e for start in range(0, count, _BLOCK_ROWS) for e in law(min(_BLOCK_ROWS, count - start)))
 
 
 def _evenly_spaced(n: int) -> geometry.SlitGeometry:

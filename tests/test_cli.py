@@ -1009,10 +1009,29 @@ class TestStreamedTables:
         per_row = (traced_peak(100_001) - traced_peak(20_001)) / 80_000
         assert per_row < 100
 
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_a_block_text_chain_holds_at_most_two_copies_of_the_record(self, width):
+        # a keyed JSON record is about twice its text; a third copy alive at once passes 6 times the text
+        columns = [f"c{k}" for k in range(width)]
+        arrays = list(np.random.default_rng(width).standard_normal((cli._CHUNK_CELLS // width, width)).T)
+        cli.render_profile(columns, arrays, "json", i0=1.0)  # the first call builds the cached tables
+        tracemalloc.start()
+        try:
+            text = cli.render_profile(columns, arrays, "json", i0=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * len(text)
+
+
+def _csv_text(block):
+    """A finite (rows, columns) block's CSV text, as ``render_profile`` writes it."""
+    return cli.render_profile(["x"] * block.shape[1], [block], "csv")
+
 
 def _csv_cells(values):
     """``_csv_text`` of the values as one row, split back into cells."""
-    return cli._csv_text(np.array(values, dtype=float).reshape(1, -1)).split(",")
+    return _csv_text(np.array(values, dtype=float).reshape(1, -1)).split(",")
 
 
 #: Powers of ten over the whole float range, each with its two neighbours.
@@ -1067,7 +1086,7 @@ class TestCsvDigits:
         values = np.random.default_rng(20240811).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
         values = values[np.isfinite(values)][:999_000].reshape(-1, 4)
         expected = "\n".join(",".join(["%.16e"] * 4) % tuple(row) for row in values.tolist())
-        assert cli._csv_text(values) == expected
+        assert _csv_text(values) == expected
 
     def test_fallback_catches_what_the_fast_path_cannot_prove(self):
         # powers of ten, a carry into the next power and out-of-range cells take the fallback
@@ -1082,10 +1101,10 @@ class TestCsvDigits:
         # a margin of one half sends every nonzero cell to the fallback
         values = np.random.default_rng(3).standard_normal((50, 3)) * 10.0 ** np.arange(-2, 1)
         values[0, 0] = -0.0
-        fast_text = cli._csv_text(values)
+        fast_text = _csv_text(values)
         monkeypatch.setattr(cli, "_TIE_MARGIN", 0.5)
         assert cli._decimal_parts(values.ravel())[2].size == values.size - 1
-        assert cli._csv_text(values) == fast_text
+        assert _csv_text(values) == fast_text
         assert fast_text == "\n".join(",".join(["%.16e"] * 3) % tuple(row) for row in values.tolist())
 
 

@@ -43,6 +43,12 @@ class TestRunChecks:
         second = run_checks(scale=0.05)
         assert [(r.name, r.max_error) for r in first] == [(r.name, r.max_error) for r in second]
 
+    def test_the_model_block_size_does_not_move_the_draws(self, monkeypatch):
+        # the battery walks its own sample blocks, so the model's memory bound leaves the report as it was
+        before = [r.max_error for r in run_checks(scale=0.3)]
+        monkeypatch.setattr(spinfringe.fringe, "_BLOCK_ROWS", 7)
+        assert [r.max_error for r in run_checks(scale=0.3)] == before
+
 
 class TestFaultInjection:
     def test_wrong_transformation_law_detected(self, monkeypatch):
