@@ -358,23 +358,24 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="A1,A2,...",
         help="comma-separated transverse slit positions in meters",
     )
-    parser.add_argument("--slit-count", type=int, help="number of evenly spaced slits")
+    parser.add_argument("--slit-count", type=float, help="number of evenly spaced slits")
     parser.add_argument("--separation", type=float, help="center-to-center slit separation in meters")
     parser.add_argument("--theta-min", type=float, help="lower screen angle in radians")
     parser.add_argument("--theta-max", type=float, help="upper screen angle in radians")
-    parser.add_argument("--samples", type=int, help="number of grid points (>= 2)")
-    parser.add_argument("--phase-convention", choices=PHASE_CONVENTIONS, help="fringe phase convention")
-    parser.add_argument("--transmitted", choices=TRANSMITTED_CHOICES, help="which invariant state reaches the screen")
+    parser.add_argument("--samples", type=float, help="number of grid points (>= 2)")
+    parser.add_argument("--phase-convention", metavar="|".join(PHASE_CONVENTIONS), help="fringe phase convention")
+    parser.add_argument("--transmitted", metavar="|".join(TRANSMITTED_CHOICES),
+                        help="which invariant state reaches the screen")
     parser.add_argument(
         "--detection",
         type=_float_list,
         metavar="I,J,...",
         help="comma-separated which-way detector slit indices ('' for none)",
     )
-    parser.add_argument("--sg-factor", type=int, choices=[1, 2], help="tensor factor measured by the SG stage")
+    parser.add_argument("--sg-factor", type=float, metavar="1|2", help="tensor factor measured by the SG stage")
     parser.add_argument("--sg-axis-angle", type=float, help="SG stage measurement axis in radians")
     parser.add_argument("--i0", type=float, help="intensity scale")
-    parser.add_argument("--output-format", choices=OUTPUT_FORMATS, help="output file format")
+    parser.add_argument("--output-format", metavar="|".join(OUTPUT_FORMATS), help="output file format")
     parser.add_argument("-o", "--output", dest="output_path", metavar="PATH", help="output file path")
 
 

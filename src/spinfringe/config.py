@@ -5,8 +5,10 @@ slit layout is given either as explicit ``slit_positions`` or as
 ``slit_count`` + ``separation`` (centered, evenly spaced) -- exactly one
 form.  Flag overrides win over file values; overriding one slit form clears
 the other.  Each field is converted once, by its entry in ``_CONVERTERS``:
-number fields reject booleans and strings, list fields reject a bare string, and
-string fields reject non-strings.  A rule the model already enforces is
+number fields reject booleans and strings, list fields reject a bare string,
+string fields reject non-strings, and ``sg_stage`` takes a mapping of
+``factor`` and ``axis_angle`` that updates the current stage.  A None value
+leaves any field as it is.  A rule the model already enforces is
 checked by calling the model's check, among them the theta-grid rule and the
 Stern-Gerlach stage's factor, axis, slit-count and detection rules.
 """
@@ -195,7 +197,16 @@ def _text(value) -> str:
     return value
 
 
-#: The one conversion of each plain field from a JSON value or a parsed flag; a list field
+def _sg_stage(value) -> SternGerlachStage:
+    """A stage as given, or one from a mapping of ``factor`` and an optional ``axis_angle`` (default 0)."""
+    if isinstance(value, SternGerlachStage):
+        return value
+    if not isinstance(value, dict) or "factor" not in value or value.keys() - {"factor", "axis_angle"}:
+        raise TypeError("not an object of a factor and an optional axis_angle")
+    return SternGerlachStage(_exact_int(value["factor"]), _number(value.get("axis_angle", 0.0)))
+
+
+#: The one conversion of each field from a JSON value or a parsed flag; a list field
 #: takes a bare string as one item, which its item conversion rejects, not as characters.
 _CONVERTERS = {
     **dict.fromkeys(("wavelength", "screen_distance", "separation", "theta_min", "theta_max", "i0"), _number),
@@ -203,6 +214,7 @@ _CONVERTERS = {
     **dict.fromkeys(("slit_count", "samples"), _exact_int),
     "slit_positions": lambda values: tuple(map(_number, [values] if isinstance(values, str) else values)),
     "detection": lambda values: tuple(map(_exact_int, [values] if isinstance(values, str) else values)),
+    "sg_stage": _sg_stage,
 }
 
 
@@ -211,18 +223,18 @@ def merge_overrides(config: SimulationConfig, overrides: dict) -> SimulationConf
 
     Each value goes through its field's entry in ``_CONVERTERS``; a value it
     cannot convert raises ConfigError naming the field.  A None value leaves
-    the field as it is.  Setting ``slit_positions`` clears the count form and
-    vice versa, so a flag can switch layout form without editing the file.
-    ``sg_stage`` accepts a mapping, a SternGerlachStage, or None; partial
-    mappings update the existing stage.
+    the field as it is, ``sg_stage`` too.  Setting ``slit_positions`` clears
+    the count form and vice versa, so a flag can switch layout form without
+    editing the file.  ``sg_stage`` takes a SternGerlachStage or a mapping of
+    ``factor`` and ``axis_angle``, which updates the existing stage's fields.
     """
     updates: dict = {}
     for name, value in overrides.items():
         if name not in _FIELD_NAMES:
             raise ConfigError(name, "unknown field")
-        if name == "sg_stage":
-            updates[name] = _coerce_sg_stage(value, config.sg_stage)
-        elif value is not None:
+        if name == "sg_stage" and isinstance(value, dict) and config.sg_stage is not None:
+            value = {**vars(config.sg_stage), **value}
+        if value is not None:
             try:
                 updates[name] = _CONVERTERS[name](value)
             except (TypeError, ValueError) as exc:
@@ -232,24 +244,6 @@ def merge_overrides(config: SimulationConfig, overrides: dict) -> SimulationConf
     elif updates.keys() & {"slit_count", "separation"}:
         updates = {"slit_positions": None, **updates}
     return replace(config, **updates)
-
-
-def _coerce_sg_stage(value, current: SternGerlachStage | None) -> SternGerlachStage | None:
-    if value is None or isinstance(value, SternGerlachStage):
-        return value
-    if not isinstance(value, dict):
-        raise ConfigError("sg_stage", f"must be an object with factor/axis_angle, got {value!r}")
-    unknown = set(value) - {"factor", "axis_angle"}
-    if unknown:
-        raise ConfigError("sg_stage", f"unknown key {sorted(unknown)[0]!r}")
-    factor = value.get("factor", current.factor if current else None)
-    if factor is None:
-        raise ConfigError("sg_stage", "factor is required")
-    axis = value.get("axis_angle", current.axis_angle if current else 0.0)
-    try:
-        return SternGerlachStage(factor=_exact_int(factor), axis_angle=_number(axis))
-    except (TypeError, ValueError):
-        raise ConfigError("sg_stage", f"factor/axis_angle must be numbers, got {value!r}") from None
 
 
 def resolve_output_path(config: SimulationConfig) -> Path:

@@ -30,7 +30,7 @@ from spinfringe.cli import (
     run_geometry_dump,
     run_simulate,
 )
-from spinfringe.config import _FIELD_NAMES, MAX_CELLS, MAX_PHASE_ERROR, MAX_SAMPLES, MAX_SLITS, config_from_dict, load_config, merge_overrides, resolve_output_path
+from spinfringe.config import _FIELD_NAMES, MAX_CELLS, MAX_PHASE_ERROR, MAX_SAMPLES, MAX_SLITS, OUTPUT_FORMATS, config_from_dict, load_config, merge_overrides, resolve_output_path
 from spinfringe.fringe import _BLOCK_CELLS, _BLOCK_ROWS, _row_blocks
 
 
@@ -323,6 +323,48 @@ class TestMalformedInput:
         assert issubclass(ConfigError, ValueError)
 
 
+class TestFlagsAndFilesAlike:
+    @pytest.mark.parametrize(
+        "document,argv,field",
+        [
+            # a bad value fails with the same config error line from either
+            ({"samples": 2.5}, ["--samples", "2.5"], "samples"),
+            ({"slit_count": 2.5}, ["--slit-count", "2.5"], "slit_count"),
+            ({"phase_convention": "full"}, ["--phase-convention", "full"], "phase_convention"),
+            ({"transmitted": "w"}, ["--transmitted", "w"], "transmitted"),
+            ({"output_format": "xml"}, ["--output-format", "xml"], "output_format"),
+            ({"sg_stage": {"factor": 3}}, ["--sg-factor", "3"], "sg_stage"),
+            ({"sg_stage": {"factor": 1.5}}, ["--sg-factor", "1.5"], "sg_stage"),
+            # an integral float is its integer in either
+            ({"samples": 11.0}, ["--samples=11.0"], None),
+            ({"slit_count": 3.0, "separation": 2e-6}, ["--slit-count=3.0", "--separation=2e-6"], None),
+            ({"sg_stage": {"factor": 1.0}}, ["--sg-factor=1.0"], None),
+        ],
+    )
+    def test_a_flag_and_a_file_accept_and_reject_alike(self, tmp_path, capsys, document, argv, field):
+        out = tmp_path / "out.csv"
+        outcomes = []
+        for args in ([f"--config={write_config(tmp_path, **document)}"], argv):
+            code = main(["simulate", *args, "-o", str(out)])
+            outcomes.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        assert outcomes[0] == outcomes[1]
+        code, err, written = outcomes[0]
+        if field is None:
+            assert (code, err) == (0, "") and written
+        else:
+            assert code == 2 and re.fullmatch(rf"config error: {field}: [^\n]*\n", err) and written is None
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "geometry"])
+    def test_help_names_the_accepted_values(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert excinfo.value.code == 0
+        for values in (fringe.PHASE_CONVENTIONS, fringe.TRANSMITTED_CHOICES, OUTPUT_FORMATS, ("1", "2")):
+            assert "|".join(values) in text
+
+
 def _finite(low, high):
     return st.floats(low, high, allow_nan=False, allow_infinity=False)
 
@@ -338,7 +380,7 @@ def _flag_and_file_inputs():
         optional={
             "wavelength": _finite(1e-8, 1e-5),
             "screen_distance": _finite(1e-3, 10.0),
-            "samples": st.integers(2, MAX_SAMPLES),
+            "samples": st.one_of(st.integers(2, MAX_SAMPLES), st.integers(2, MAX_SAMPLES).map(float)),
             "phase_convention": st.sampled_from(["half", "paper"]),
             "transmitted": st.sampled_from(["u", "v"]),
             "i0": _finite(1e-3, 1e3),
@@ -430,6 +472,10 @@ class TestConfigMerging:
         base = merge_overrides(default_config(), {"sg_stage": {"factor": 2}})
         updated = merge_overrides(base, {"sg_stage": {"axis_angle": 0.5}})
         assert updated.sg_stage == SternGerlachStage(factor=2, axis_angle=0.5)
+
+    def test_none_keeps_the_sg_stage(self):
+        base = merge_overrides(default_config(), {"sg_stage": {"factor": 2, "axis_angle": 0.5}})
+        assert merge_overrides(base, {"sg_stage": None}) == base
 
 
 class TestSimulate:
@@ -1293,7 +1339,7 @@ class TestMainEntry:
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", "--phase-convention", "bogus"])
+            main(["simulate", "--samples", "x"])
         assert excinfo.value.code == 2
 
 
