@@ -243,11 +243,13 @@ def render_profile(columns, column_arrays, output_format: str, **scalars) -> str
     document); without, an array (the ``rows`` of ``{"columns", "rows"}``).
     JSON numbers are ``repr``, the ``float.__repr__`` that ``json`` writes, so
     the text is byte-identical to ``json.dumps``.  A non-finite value, which
-    ``json`` would spell otherwise, raises ``ValueError`` in either format.
+    ``json`` would spell otherwise, or a format not in ``OUTPUT_FORMATS`` raises ``ValueError``.
     Both formats end in one text chain (``tobytes``, ``translate``, ``decode``)
     started from the NUL-padded byte record as a temporary, so each step's input
     is freed once the next returns and at most two copies of it are alive.
     """
+    if output_format not in OUTPUT_FORMATS:
+        raise ValueError(f"must be one of {list(OUTPUT_FORMATS)}, got {output_format!r}")
     block = np.column_stack(column_arrays)
     if not np.isfinite(block).all():
         raise ValueError("output tables hold finite numbers only")
@@ -348,50 +350,49 @@ def run_geometry_dump(config: SimulationConfig) -> Path:
         grid[rows], incidence_angles(layout, grid[rows]), pair_phase(layout, grid[rows], first, second)])
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--wavelength", type=float, help="wavelength in meters")
-    parser.add_argument("--screen-distance", type=float, help="aperture-to-screen distance in meters")
-    parser.add_argument(
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every caller, so treat it as read-only."""
+    parser = argparse.ArgumentParser(
+        prog="spinfringe",
+        description="Spin-pair correlation model of multi-slit interference.",
+    )
+    flags = argparse.ArgumentParser(add_help=False)  # the config flags of the three output commands
+    flags.add_argument("--config", metavar="PATH", help="JSON config file")
+    flags.add_argument("--wavelength", type=float, help="wavelength in meters")
+    flags.add_argument("--screen-distance", type=float, help="aperture-to-screen distance in meters")
+    flags.add_argument(
         "--slit-positions",
         type=_float_list,
         metavar="A1,A2,...",
         help="comma-separated transverse slit positions in meters",
     )
-    parser.add_argument("--slit-count", type=float, help="number of evenly spaced slits")
-    parser.add_argument("--separation", type=float, help="center-to-center slit separation in meters")
-    parser.add_argument("--theta-min", type=float, help="lower screen angle in radians")
-    parser.add_argument("--theta-max", type=float, help="upper screen angle in radians")
-    parser.add_argument("--samples", type=float, help="number of grid points (>= 2)")
-    parser.add_argument("--phase-convention", metavar="|".join(PHASE_CONVENTIONS), help="fringe phase convention")
-    parser.add_argument("--transmitted", metavar="|".join(TRANSMITTED_CHOICES),
-                        help="which invariant state reaches the screen")
-    parser.add_argument(
+    flags.add_argument("--slit-count", type=float, help="number of evenly spaced slits")
+    flags.add_argument("--separation", type=float, help="center-to-center slit separation in meters")
+    flags.add_argument("--theta-min", type=float, help="lower screen angle in radians")
+    flags.add_argument("--theta-max", type=float, help="upper screen angle in radians")
+    flags.add_argument("--samples", type=float, help="number of grid points (>= 2)")
+    flags.add_argument("--phase-convention", metavar="|".join(PHASE_CONVENTIONS), help="fringe phase convention")
+    flags.add_argument("--transmitted", metavar="|".join(TRANSMITTED_CHOICES),
+                       help="which invariant state reaches the screen")
+    flags.add_argument(
         "--detection",
         type=_float_list,
         metavar="I,J,...",
         help="comma-separated which-way detector slit indices ('' for none)",
     )
-    parser.add_argument("--sg-factor", type=float, metavar="1|2", help="tensor factor measured by the SG stage")
-    parser.add_argument("--sg-axis-angle", type=float, help="SG stage measurement axis in radians")
-    parser.add_argument("--i0", type=float, help="intensity scale")
-    parser.add_argument("--output-format", metavar="|".join(OUTPUT_FORMATS), help="output file format")
-    parser.add_argument("-o", "--output", dest="output_path", metavar="PATH", help="output file path")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinfringe",
-        description="Spin-pair correlation model of multi-slit interference.",
-    )
+    flags.add_argument("--sg-factor", type=float, metavar="1|2", help="tensor factor measured by the SG stage")
+    flags.add_argument("--sg-axis-angle", type=float, help="SG stage measurement axis in radians")
+    flags.add_argument("--i0", type=float, help="intensity scale")
+    flags.add_argument("--output-format", metavar="|".join(OUTPUT_FORMATS), help="output file format")
+    flags.add_argument("-o", "--output", dest="output_path", metavar="PATH", help="output file path")
     commands = parser.add_subparsers(dest="command", required=True)
     for name, doc in (
         ("simulate", "compute a fringe profile and write it to a file"),
         ("compare", "tabulate model vs classical-oracle intensities"),
         ("geometry", "dump incidence angles and pair phases over the grid"),
     ):
-        sub = commands.add_parser(name, help=doc)
-        _add_config_arguments(sub)
+        commands.add_parser(name, help=doc, parents=[flags])
     commands.add_parser("verify", help="run the self-check battery")
     # no option starts "-" then a digit, so such a token (-1e-6, -.5,1) is a value
     for each in (parser, *commands.choices.values()):
@@ -404,19 +405,13 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(piece) for piece in text.split(",") if piece.strip() != "")
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    """The config fields given as flags; every flag's ``dest`` is its field name."""
+def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
+    """The ``--config`` file's config, or the default, with the flags given; each flag's ``dest`` is its field."""
+    config = load_config(args.config) if args.config else default_config()
     overrides = {name: value for name, value in vars(args).items() if name in _FIELD_NAMES}
     stage = {"factor": args.sg_factor, "axis_angle": args.sg_axis_angle}
     stage = {key: value for key, value in stage.items() if value is not None}
-    if stage:
-        overrides["sg_stage"] = stage
-    return overrides
-
-
-def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
-    config = load_config(args.config) if args.config else default_config()
-    return merge_overrides(config, _overrides_from_args(args))
+    return merge_overrides(config, {**overrides, "sg_stage": stage or None})  # None keeps the config's stage
 
 
 def run_verify() -> int:
@@ -446,7 +441,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -477,6 +477,16 @@ class TestConfigMerging:
         base = merge_overrides(default_config(), {"sg_stage": {"factor": 2, "axis_angle": 0.5}})
         assert merge_overrides(base, {"sg_stage": None}) == base
 
+    def test_a_stage_object_is_kept_and_replaces_a_stage_whole(self):
+        stage = SternGerlachStage(2, 0.5)
+        config = merge_overrides(default_config(), {"sg_stage": stage})
+        assert config.sg_stage is stage
+        # only a mapping is merged field by field, so the new stage's default axis wins over 0.5
+        replaced = merge_overrides(config, {"sg_stage": SternGerlachStage(1)})
+        assert replaced.sg_stage == SternGerlachStage(factor=1, axis_angle=0.0)
+        config.validate()
+        replaced.validate()
+
 
 class TestSimulate:
     def test_default_run_shape_and_peak(self, tmp_path):
@@ -1036,6 +1046,18 @@ class TestStreamedTables:
             _write_table(config, ["theta", "intensity"], [np.linspace(-0.1, 0.1, block + 500), column], i0=1.0)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("output_format", ["xml", "CSV", ""])
+    def test_an_unknown_format_raises_and_writes_nothing(self, tmp_path, output_format):
+        message = re.escape(f"must be one of ['csv', 'json'], got {output_format!r}")
+        with pytest.raises(ValueError, match=message):
+            cli.render_profile(["a"], [np.arange(3.0)], output_format)
+        config = merge_overrides(
+            default_config(), {"output_format": output_format, "output_path": str(tmp_path / "table.out")}
+        )
+        with pytest.raises(ValueError, match=message):
+            _write_table(config, ["theta", "intensity"], [np.linspace(-0.1, 0.1, 5), np.ones(5)], i0=1.0)
+        assert list(tmp_path.iterdir()) == []  # neither the path nor a *.tmp file
+
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_peak_memory_grows_by_the_arrays_not_the_text(self, tmp_path, output_format):
         def traced_peak(samples):
@@ -1341,6 +1363,37 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--samples", "x"])
         assert excinfo.value.code == 2
+
+
+class TestOneParser:
+    def test_every_caller_gets_the_same_parser(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_an_sg_run_leaves_nothing_for_the_next_run(self, tmp_path, output_format):
+        argv = ["simulate", "--samples", "11", "--output-format", output_format, "-o"]
+        assert main([*argv, str(tmp_path / "before")]) == 0
+        assert main(["simulate", "--sg-factor", "1", "--sg-axis-angle", "0.3", "--samples", "11",
+                     "--output-format", output_format, "-o", str(tmp_path / "sg")]) == 0
+        assert main([*argv, str(tmp_path / "after")]) == 0
+        assert (tmp_path / "sg").read_bytes() != (tmp_path / "before").read_bytes()
+        assert (tmp_path / "after").read_bytes() == (tmp_path / "before").read_bytes()
+
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--samples", "x"])
+        assert excinfo.value.code == 2
+        assert main(["simulate", "--samples", "11", "-o", str(tmp_path / "ok.csv")]) == 0
+        assert capsys.readouterr().out.startswith("wrote ")
+
+    def test_the_output_commands_share_one_flag_set(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        options = [set(commands[name]._option_string_actions) for name in ("simulate", "compare", "geometry")]
+        assert options[0] == options[1] == options[2]
+        assert len(options[0]) == 20  # 17 config flags, -o beside --output, and -h, --help
+        # every flag but --config and the two SG flags sets the config field of its dest
+        dests = {action.dest for action in commands["simulate"]._actions} - {"help", "config"}
+        assert dests - _FIELD_NAMES == {"sg_factor", "sg_axis_angle"}
 
 
 def _flag(name, valid, invalid):
