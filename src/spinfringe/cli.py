@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_mod
 from .config import (
     _FIELD_NAMES,
     OUTPUT_FORMATS,
@@ -416,8 +415,9 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
 
 def run_verify() -> int:
     """Print the law-check report; return 0 iff every check passed."""
-    results = verify_mod.run_checks()
-    print(verify_mod.format_report(results))
+    from . import verify  # the battery's only caller, so it stays out of start-up
+    results = verify.run_checks()
+    print(verify.format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -69,10 +69,10 @@ def _index_tuples(n: int, size: int) -> np.ndarray:
 
 def _random_geometry(rng) -> tuple[geometry.SlitGeometry, float]:
     n = int(rng.integers(2, 7))
-    positions = np.sort(rng.uniform(-5e-5, 5e-5, size=n))
-    if np.any(np.diff(positions) <= 1e-9):
-        positions = positions + np.arange(n) * 2e-9
-    layout = geometry.SlitGeometry(tuple(positions), rng.uniform(2e-7, 8e-7), rng.uniform(0.5, 2.0))
+    positions = sorted(rng.uniform(-5e-5, 5e-5, size=n).tolist())  # on 2-6 values a numpy call costs more than its work
+    if any(b - a <= 1e-9 for a, b in zip(positions, positions[1:])):
+        positions = [a + k * 2e-9 for k, a in enumerate(positions)]
+    layout = geometry.SlitGeometry(positions, rng.uniform(2e-7, 8e-7), rng.uniform(0.5, 2.0))
     return layout, rng.uniform(-1.2, 1.2)  # the angle theta is drawn after the layout
 
 

@@ -1326,6 +1326,21 @@ class TestMainEntry:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
+    def test_an_output_command_leaves_the_check_battery_unimported(self, tmp_path, subprocess_env):
+        # only `verify` needs spinfringe.verify, so start-up and the output commands skip compiling it
+        out = tmp_path / "lazy.csv"
+        child = (
+            "import sys\n"
+            "from spinfringe.cli import main\n"
+            f"assert main(['simulate', '--samples', '3', '-o', {str(out)!r}]) == 0\n"
+            "print('spinfringe.verify' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, cwd=tmp_path, env=subprocess_env
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False" and out.exists()
+
     @pytest.mark.parametrize(
         "umask,existing,expected",
         [(0o022, None, 0o644), (0o077, None, 0o600), (0o022, 0o640, 0o640), (0o077, 0o640, 0o640)],

@@ -300,3 +300,39 @@ class TestRandomGeometry:
         assert np.all(np.diff(positions) > 1e-9)
         assert np.allclose(positions, [1e-6, 1e-6 + 2.5e-9, 2e-6 + 4e-9], rtol=0, atol=1e-15)
         assert (layout.wavelength, layout.screen_distance) == (5e-7, 1.0)
+
+    @pytest.mark.parametrize("coarse", [False, True], ids=["drawn", "colliding"])
+    @pytest.mark.parametrize("seed", [0, 1, 20240811])
+    def test_draws_equal_the_numpy_formulation(self, seed, coarse):
+        def reference(rng):
+            """The same draws with numpy's sort, diff and arange over the positions."""
+            n = int(rng.integers(2, 7))
+            positions = np.sort(rng.uniform(-5e-5, 5e-5, size=n))
+            if np.any(np.diff(positions) <= 1e-9):
+                positions = positions + np.arange(n) * 2e-9
+            layout = SlitGeometry(tuple(positions), rng.uniform(2e-7, 8e-7), rng.uniform(0.5, 2.0))
+            return layout, rng.uniform(-1.2, 1.2)
+
+        class Coarse:
+            """A generator whose position draws are rounded to 10 um, so about half the layouts take the spread."""
+
+            def __init__(self, rng):
+                self.integers, self.bit_generator, self.rng = rng.integers, rng.bit_generator, rng
+
+            def uniform(self, low, high, size=None):
+                value = self.rng.uniform(low, high, size)
+                return value if size is None else np.round(value, 5)
+
+        def bits(layout, theta):
+            return [float(x).hex() for x in (*layout.slit_positions, layout.wavelength, layout.screen_distance, theta)]
+
+        drawn, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+        if coarse:
+            drawn, expected = Coarse(drawn), Coarse(expected)
+        spread = 0
+        for _ in range(2000):
+            layout, theta = spinfringe.verify._random_geometry(drawn)
+            assert bits(layout, theta) == bits(*reference(expected))
+            assert drawn.bit_generator.state == expected.bit_generator.state
+            spread += min(np.diff(layout.slit_positions)) < 1e-8
+        assert not coarse or spread > 500  # about half the coarse layouts collide and are spread 2 nm apart
