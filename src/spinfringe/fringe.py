@@ -358,7 +358,8 @@ def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: fl
     weight 0 and a zero state; ``axis_angle`` may then be a broadcasting
     array.  With the amplitudes as a row-major 2x2 matrix M, the projector P
     = b b^T of a column b of R(axis_angle) gives the branch vec(P M) on
-    factor 1 and vec(M P^T) on factor 2.
+    factor 1 and vec(M P^T) on factor 2, summed from 0.0 over j = 0, 1 as
+    (b[i] * b[j]) * M[j, l] or (b[l] * b[j]) * M[i, j] (see ``apply_pair``).
 
     Raises
     ------
@@ -366,7 +367,7 @@ def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: fl
         If ``factor`` is not 1 or 2, or the input state (any row of a stack)
         is not normalized: zero-norm, off by more than 1e-9, or NaN.
     """
-    if factor not in (1, 2):
+    if isinstance(factor, (bool, np.bool_)) or factor not in (1, 2):  # True == 1, so a bool passes `in`
         raise ValueError(f"measured factor must be 1 or 2, got {factor}")
     single = isinstance(state, TwoSpinState)
     amps = state.vector() if single else np.asarray(state, dtype=complex)
@@ -376,10 +377,13 @@ def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: fl
     normalized = np.abs(norm2 - 1.0) <= 1e-9  # False for NaN as well
     if not normalized.all():
         raise ValueError(f"state must be normalized before measurement, norm^2={norm2[~normalized][0]}")
-    basis = rotation_matrix(axis_angle)
-    grid = amps.reshape(amps.shape[:-1] + (2, 2))
-    spec = "...ik,...jk,...jl->...kil" if factor == 1 else "...lk,...jk,...ij->...kil"
-    branches = np.einsum(spec, basis, basis, grid)
+    cols, grid = np.swapaxes(rotation_matrix(axis_angle), -1, -2), amps.reshape(amps.shape[:-1] + (2, 2))
+    if factor == 1:  # cols[..., k, i] is b[i] for column k; branches[..., k, i, l] takes the terms
+        terms = ((cols[..., :, :, None] * cols[..., :, j, None, None]) * grid[..., None, None, j, :] for j in (0, 1))
+    else:
+        terms = ((cols[..., :, None, :] * cols[..., :, j, None, None]) * grid[..., None, :, j, None] for j in (0, 1))
+    branches = 0.0 + next(terms)
+    branches += next(terms)
     branches = branches.reshape(branches.shape[:-2] + (4,))
     raw = np.sum(np.abs(branches) ** 2, axis=-1)
     weights = raw / norm2[..., None]  # so the weights sum to 1 for an input norm^2 off by up to 1e-9

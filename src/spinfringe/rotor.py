@@ -67,7 +67,10 @@ def apply_pair(pair: PairRotation | tuple, state: qstate.TwoSpinState | np.ndarr
     R(alpha) (x) R(beta); it preserves norms everywhere, not only on
     span{u, v}.  Reading the amplitudes as a row-major 2x2 matrix M,
     (A (x) B) vec(M) = vec(A M B^T), so no 4x4 operator is built.  A
-    TwoSpinState takes scalar angles only (ValueError otherwise).
+    TwoSpinState takes scalar angles only (ValueError otherwise).  Entry
+    (i, k) adds (A[i, j] * B[k, l]) * M[j, l] to 0.0 for (j, l) = 00, 01, 10,
+    11 in turn: numpy's three-operand contraction order on complex operands,
+    pinned because rounding, and so every output byte, depends on the order.
     """
     alpha, beta = pair
     single = isinstance(state, qstate.TwoSpinState)
@@ -77,8 +80,11 @@ def apply_pair(pair: PairRotation | tuple, state: qstate.TwoSpinState | np.ndarr
             " pass state.vector() to act on a stack"
         )
     amps = state.vector() if single else np.asarray(state)
-    grid = amps.reshape(amps.shape[:-1] + (2, 2))
-    moved = np.einsum("...ij,...kl,...jl->...ik", rotation_matrix(alpha), rotation_matrix(beta), grid)
+    a, b, grid = rotation_matrix(alpha), rotation_matrix(beta), amps.reshape(amps.shape[:-1] + (2, 2))
+    terms = ((a[..., :, j, None] * b[..., None, :, l]) * grid[..., j, l, None, None] for j in (0, 1) for l in (0, 1))
+    moved = 0.0 + next(terms)
+    for term in terms:
+        moved += term
     moved = moved.reshape(moved.shape[:-2] + (4,))
     return qstate.TwoSpinState.from_vector(moved) if single else moved
 

@@ -35,6 +35,7 @@ from spinfringe import (
     measure_factor,
     multi_slit_intensity,
     pair_phase,
+    rotation_matrix,
     slit_phases,
     transmission_probability,
     two_slit_state_at,
@@ -294,6 +295,19 @@ class TestIntensityProfile:
         finally:
             tracemalloc.stop()
         assert peak < 4 * grid.nbytes
+
+    @pytest.mark.parametrize("factor", (1, 2))
+    def test_sg_stage_peak_memory_stays_below_eight_row_blocks(self, two_slit, factor):
+        # a 1,000-row block's (..., 2, 4) complex branches take 128,000 B; the branch sum is added in place
+        grid, stage = np.linspace(-0.3, 0.3, 10_001), SternGerlachStage(factor, 0.3)
+        intensity_profile(two_slit, grid, stage=stage)  # once-only state stays out of the trace
+        tracemalloc.start()
+        try:
+            intensity_profile(two_slit, grid, stage=stage)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_sg_stage_needs_two_slits_and_no_detection(self, two_slit, three_slit):
         with pytest.raises(GeometryError, match="exactly 2 slits, got 3"):
@@ -708,6 +722,13 @@ class TestMeasureFactor:
         with pytest.raises(ValueError, match="factor"):
             measure_factor(basis_u(), 3, 0.0)
 
+    @pytest.mark.parametrize("factor", (True, False, np.True_))
+    def test_bool_factor_rejected(self, factor):
+        # True == 1, so only a type check keeps a bool from being read as factor 1, as config rejects it
+        for state in (basis_u(), basis_u().vector()[None, :]):
+            with pytest.raises(ValueError, match=f"factor must be 1 or 2, got {factor}"):
+                measure_factor(state, factor, 0.0)
+
     @pytest.mark.parametrize(
         "bad_row,message",
         [([math.nan, 0, 0, 0], "normalized"), ([1, 0, 0, 1], "normalized"), ([0, 0, 0, 0], "zero-norm")],
@@ -847,6 +868,90 @@ class TestStackedForms:
         ensemble = measure_factor(rotated.as_state(), 2, 0.4)
         assert isinstance(ensemble, Ensemble)
         assert type(ensemble_transmission(ensemble, "v")) is float
+
+
+def _unit_rows(rng, shape, dtype=complex):
+    parts = rng.normal(size=(2,) + shape + (4,))
+    rows = parts[0] + 1j * parts[1] if dtype is complex else parts[0]
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+class TestEinsumTermOrder:
+    """The written-out 2x2 sums add their terms in the order of the einsum forms kept here as the reference.
+
+    The rounding of a sum depends on the order of its terms, and the output
+    bytes rest on these sums, so complex128 stacks must match bit for bit.
+    """
+
+    PAIR_SPEC = "...ij,...kl,...jl->...ik"
+    MEASURE_SPECS = {1: "...ik,...jk,...jl->...kil", 2: "...lk,...jk,...ij->...kil"}
+    # (alpha, beta, stack) shapes that the program passes: scalar angles, (m,) rows, (m, 1) angles over a 2-row
+    # stack, a scalar angle beside an (m,) one, and a grid.  einsum's own order is not fixed across all layouts:
+    # on an (m, 1) by (m,) outer broadcast, which no caller makes, about half its sums differ in the last bit
+    SHAPES = [
+        ((), (), ()),
+        ((), (), (50,)),
+        ((50,), (50,), (50,)),
+        ((50, 1), (50, 1), (2,)),
+        ((), (50,), (50,)),
+        ((50,), (), (50,)),
+        ((2, 2, 2), (2, 2, 2), (2, 2, 2)),
+    ]
+
+    def _angles(self, rng, *shapes):
+        return [rng.uniform(-10, 10, size=shape or None) for shape in shapes]
+
+    def _einsum_pair(self, alpha, beta, amps):
+        grid = amps.reshape(amps.shape[:-1] + (2, 2))
+        moved = np.einsum(self.PAIR_SPEC, rotation_matrix(alpha), rotation_matrix(beta), grid)
+        return moved.reshape(moved.shape[:-2] + (4,))
+
+    @pytest.mark.parametrize("alpha_shape,beta_shape,stack_shape", SHAPES)
+    def test_apply_pair_on_complex_stacks_equals_einsum(self, rng, alpha_shape, beta_shape, stack_shape):
+        alpha, beta = self._angles(rng, alpha_shape, beta_shape)
+        amps = _unit_rows(rng, stack_shape)
+        moved = apply_pair((alpha, beta), amps)
+        assert moved.dtype == complex and np.array_equal(moved, self._einsum_pair(alpha, beta, amps))
+        if not stack_shape and not alpha_shape and not beta_shape:
+            state = apply_pair((alpha, beta), TwoSpinState.from_vector(amps))
+            assert np.array_equal(state.vector(), moved)
+
+    @pytest.mark.parametrize("alpha_shape,beta_shape,stack_shape", SHAPES)
+    def test_apply_pair_on_real_stacks_within_an_ulp_pair(self, rng, alpha_shape, beta_shape, stack_shape):
+        # einsum's float64 loop may pair the terms, (t00 + t01) + (t10 + t11), where the written-out sum adds in turn
+        alpha, beta = self._angles(rng, alpha_shape, beta_shape)
+        amps = _unit_rows(rng, stack_shape, float)
+        moved = apply_pair((alpha, beta), amps)
+        expected = self._einsum_pair(alpha, beta, amps)
+        assert moved.dtype == expected.dtype == float and moved.shape == expected.shape
+        assert np.max(np.abs(moved - expected)) <= 4e-16
+
+    def test_sums_start_from_zero_as_einsum_does(self):
+        # einsum adds into a zeroed output, so a sum of negative zeros is +0.0; array_equal cannot tell -0.0 from 0.0
+        signed = np.full((1, 4), complex(-0.5, -0.0))  # each product's imaginary part is -0.0
+        def bits(values):
+            return np.ascontiguousarray(values).view(np.uint64)
+
+        assert np.array_equal(bits(apply_pair((0.0, 0.0), signed)), bits(self._einsum_pair(0.0, 0.0, signed)))
+        for factor in (1, 2):
+            branches = np.einsum(self.MEASURE_SPECS[factor], *[rotation_matrix(0.0)] * 2, signed.reshape(1, 2, 2))
+            _, states = measure_factor(signed, factor, 0.0)
+            assert np.array_equal(bits(states), bits(branches.reshape(1, 2, 4) / math.sqrt(0.5)))
+
+    @pytest.mark.parametrize("factor", (1, 2))
+    @pytest.mark.parametrize("axis_shape,stack_shape", [((), ()), ((), (50,)), ((50,), (50,)), ((50,), ()),
+                                                        ((50, 1), (2,)), ((2, 2, 2), (2, 2, 2))])
+    def test_measure_factor_equals_einsum(self, rng, factor, axis_shape, stack_shape):
+        (axis,) = self._angles(rng, axis_shape)
+        amps = _unit_rows(rng, stack_shape)
+        basis = rotation_matrix(axis)
+        branches = np.einsum(self.MEASURE_SPECS[factor], basis, basis, amps.reshape(amps.shape[:-1] + (2, 2)))
+        branches = branches.reshape(branches.shape[:-2] + (4,))
+        raw = np.sum(np.abs(branches) ** 2, axis=-1)
+        weights, states = measure_factor(amps, factor, axis)
+        assert np.all(raw > 0)  # so no branch is dropped and each state is its branch over its norm
+        assert np.array_equal(weights, raw / np.sum(np.abs(amps) ** 2, axis=-1)[..., None])
+        assert np.array_equal(states, branches / np.sqrt(raw)[..., None])
 
 
 class TestFringeProfile:
