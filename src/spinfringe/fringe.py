@@ -20,6 +20,8 @@ d*sin(theta) = m*lambda/2.  Both are first-class; callers choose.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -41,6 +43,8 @@ _WEIGHT_CUTOFF = 1e-14
 #: Most rows, and most (row, column) cells, that a blocked pass holds at once; bound its temporaries.
 _BLOCK_ROWS = 1000
 _BLOCK_CELLS = 2**18
+#: Most threads that share one profile's row blocks.
+_MAX_WORKERS = 8
 
 
 class GeometryError(ValueError):
@@ -73,6 +77,40 @@ def _row_blocks(count: int, width: int = 1) -> list[slice]:
     """In-order slices over ``count`` rows: 1 to ``_BLOCK_ROWS`` rows, at most ``_BLOCK_CELLS`` cells each."""
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // width))
     return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
+
+
+def _workers(blocks: int) -> int:
+    """Threads for ``blocks`` row blocks: the CPUs this process may run on, at most ``_MAX_WORKERS`` and ``blocks``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS, blocks))
+
+
+def _run_blocks(evaluate, starts: range) -> None:
+    """``evaluate`` every start on ``_workers`` threads, the caller's among them, each taking the next start.
+
+    Once one raises, no thread starts another block; the first error is raised after all have stopped.
+    """
+    pending, lock, errors = iter(starts), threading.Lock(), []
+
+    def work() -> None:
+        try:
+            while not errors:
+                with lock:
+                    start = next(pending, None)
+                if start is None:
+                    return
+                evaluate(start)
+        except BaseException as error:  # raised again below, in the caller's thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=work) for _ in range(_workers(len(starts)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _theta_grid(thetas) -> np.ndarray:
@@ -236,27 +274,29 @@ def multi_slit_intensity(
     """
     if isinstance(geometry, SlitGeometry):
         return float(intensity_profile(geometry, [point.theta], convention).intensities[0])
-    scale = _rotation_scale(convention)
+    doubled = 2.0 * _rotation_scale(convention)
     values = np.empty(len(geometry))
     for rows, layouts, thetas in _by_slit_count(geometry, point):  # one kernel pass per slit count
         n = layouts[0].n_slits
         i, j = np.triu_indices(n, 1)
         phases = pair_phase(layouts, thetas, i + 1, j + 1)
         # |phi_ij| = |k|*(a_j - a_i) grows with the separation, as the profile's baselines do
-        values[rows] = _cosine_sum(np.sort(np.abs(phases), axis=-1), scale, n)
+        values[rows] = _cosine_sum(np.sort(doubled * np.abs(phases), axis=-1), n)
     return np.clip(values, 0.0, 1.0)
 
 
-def _cosine_sum(phases: np.ndarray, scale: float, n: int, counts=1) -> np.ndarray:
-    """The pairwise rule (n + 2*sum(counts*cos(2*scale*phi)))/n^2 per row of an n-slit layout's pair phases.
+def _cosine_sum(angles: np.ndarray, n: int, counts: np.ndarray | None = None) -> np.ndarray:
+    """The pairwise rule (n + 2*sum(counts*cos(2*phi)))/n^2 per row of an n-slit layout's doubled angles 2*phi.
 
-    ``phases`` is a (rows, pairs) array, overwritten if it is C-contiguous.  Each row is summed column by
-    column in C order, whatever the input's order, as ``sum`` adds the rows of another order differently.
+    ``angles`` is a (rows, pairs) array, overwritten if it is C-contiguous; no ``counts`` weighs each column 1.
+    Each row is summed column by column in C order, whatever the input's order, as ``sum`` adds the rows of
+    another order differently.
     """
-    phases = np.ascontiguousarray(phases)
-    np.cos(np.multiply(phases, 2.0 * scale, out=phases), out=phases)
-    phases *= counts
-    return (n + 2.0 * phases.sum(axis=-1)) / n**2
+    angles = np.ascontiguousarray(angles)
+    np.cos(angles, out=angles)
+    if counts is not None:
+        angles *= counts
+    return (n + 2.0 * angles.sum(axis=-1)) / n**2
 
 
 def intensity_profile(
@@ -284,8 +324,9 @@ def intensity_profile(
     Pairs with exactly equal separations share their phase, so the sum runs
     once per distinct baseline, weighted by its pair count.  The cosine
     takes the non-negative |phi| = |k|*d, so mirror rows r and S-1-r whose
-    |k| are exactly equal share one evaluation.  Values are clipped into
-    [0, i0] to absorb last-bit rounding.
+    |k| are exactly equal share one evaluation.  Row blocks run on several
+    threads, and no value depends on the block size or thread count.
+    Values are clipped into [0, i0] to absorb last-bit rounding.
     """
     grid = _theta_grid(thetas)
     _check_choice(choice)
@@ -307,14 +348,19 @@ def intensity_profile(
         pos, k = _positions_and_wavenumber(geometry, grid)
         i, j = np.triu_indices(n, 1)
         baselines, counts = np.unique(pos[j] - pos[i], return_counts=True)
-        # |k|*d is pair_phase's |phi| and the cosine is even; each row's |k| is replaced by its value in place
-        values = np.abs(k, out=k)
+        # |k|*d is pair_phase's |phi| and the cosine is even; each row's |k| is scaled by 2*scale (1.0 or 2.0, so
+        # exactly) once, and then replaced by its value in place
+        values = np.multiply(np.abs(k, out=k), 2.0 * scale, out=k)
+        counts = None if counts.size == i.size else counts  # no repeated baseline weighs every column 1
         own = values != values[::-1]  # a second-half row whose |k| is its mirror row's copies that row
         own[: (grid.size + 1) // 2] = True
-        rows = max(1, _BLOCK_CELLS // counts.size)  # cells, no row cap: a 2-slit grid is one block
-        for start in range(0, grid.size, rows):
+        rows = max(1, _BLOCK_CELLS // baselines.size)  # cells, no row cap: a 2-slit grid is one block
+
+        def evaluate(start: int) -> None:  # each block writes only its own rows
             block, kept = values[start : start + rows], own[start : start + rows]
-            block[kept] = _cosine_sum(np.multiply.outer(block[kept], baselines), scale, n, counts)
+            block[kept] = _cosine_sum(np.multiply.outer(block[kept], baselines), n, counts)
+
+        _run_blocks(evaluate, range(0, grid.size, rows))
         values[~own] = values[::-1][~own]
         if choice == "v":
             np.subtract(1.0, values, out=values)
@@ -388,8 +434,8 @@ def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: fl
     raw = np.sum(np.abs(branches) ** 2, axis=-1)
     weights = raw / norm2[..., None]  # so the weights sum to 1 for an input norm^2 off by up to 1e-9
     kept = weights > _WEIGHT_CUTOFF
-    weights = np.where(kept, weights, 0.0)
-    states = branches / np.sqrt(np.where(kept, raw, 1.0))[..., None] * kept[..., None]
+    weights *= kept  # exact: past the norm check raw is finite, so a dropped branch weighs 0 and divides by 1
+    states = branches / np.sqrt(raw * kept + ~kept)[..., None] * kept[..., None]
     if not single:
         return weights, states
     entries = ((float(w), TwoSpinState.from_vector(s)) for w, s in zip(weights, states) if w > 0.0)
@@ -419,5 +465,6 @@ def ensemble_transmission(ensemble: Ensemble | tuple, choice: str = "u"):
                 )
         ensemble = zip(*((w, entry.vector()) for w, entry in ensemble.entries))
     weights, states = (np.asarray(part) for part in ensemble)
-    total = np.sum(weights * np.abs(states @ target.conj()) ** 2, axis=-1)
+    a, b = np.flatnonzero(target)  # u = (1, 0, 0, 1)/sqrt(2) and v = (0, 1, -1, 0)/sqrt(2): a zero term adds +-0
+    total = np.sum(weights * np.abs(states[..., a] * target[a].conj() + states[..., b] * target[b].conj()) ** 2, -1)
     return float(total) if single else total

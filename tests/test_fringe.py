@@ -1,7 +1,10 @@
 """Model layer: pair states at the screen, profiles, detection, measurement."""
 
 import math
+import os
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from spinfringe import (
     apply_pair,
     basis_u,
     basis_v,
+    cli,
     decompose_uv,
     detect_at_slit,
     ensemble_transmission,
@@ -423,8 +427,8 @@ class TestMultiSlitIntensityStacks:
     def test_cosine_sum_gives_an_f_ordered_table_the_c_order_result(self, rng):
         # numpy sums the rows of an F-ordered table in another order; pair_phase's stacks come out F-ordered
         phases = rng.uniform(0.0, 1e3, size=(64, 45))
-        expected = fringe._cosine_sum(phases.copy(), 0.5, 10)
-        assert np.array_equal(fringe._cosine_sum(np.asfortranarray(phases), 0.5, 10), expected)
+        expected = fringe._cosine_sum(phases.copy(), 10)
+        assert np.array_equal(fringe._cosine_sum(np.asfortranarray(phases), 10), expected)
 
 
 @st.composite
@@ -500,6 +504,122 @@ class TestMirrorRows:
         positions = np.sort(np.random.default_rng(7).uniform(-6e-5, 6e-5, 64))
         grid = np.linspace(0.05, 0.3, 2001)
         assert self._rows_evaluated(monkeypatch, SlitGeometry(tuple(positions), 5e-7, 1.0), grid) == grid.size
+
+
+def _distinct_baselines(layout) -> int:
+    pos = np.asarray(layout.slit_positions)
+    i, j = np.triu_indices(pos.size, 1)
+    return np.unique(pos[j] - pos[i]).size
+
+
+class TestRowBlocks:
+    """Each row is summed in one order in one block, so no block size changes a bit of a profile."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.one_of(
+            st.builds(
+                SlitGeometry.evenly_spaced,
+                st.integers(2, 40),
+                st.floats(min_value=5e-7, max_value=2e-5),
+                _WAVELENGTHS,
+                st.just(1.0),
+            ),
+            st.builds(SlitGeometry, _irregular_layouts(40), _WAVELENGTHS, st.just(1.0)),
+        ),
+        grid=_mirror_grids(),
+        convention=st.sampled_from(PHASE_CONVENTIONS),
+        choice=st.sampled_from(TRANSMITTED_CHOICES),
+    )
+    def test_profile_is_bit_identical_whatever_the_block_size(self, layout, grid, convention, choice):
+        grid = grid[0]
+        default = intensity_profile(layout, grid, convention, choice).intensities
+        for rows in (1, 3):  # one row's cells, then a few rows' cells, per block
+            with mock.patch.object(fringe, "_BLOCK_CELLS", rows * _distinct_baselines(layout)):
+                assert np.array_equal(intensity_profile(layout, grid, convention, choice).intensities, default)
+
+
+class TestPooledRowBlocks:
+    """The row blocks of one profile run on ``_workers`` threads; the bytes do not depend on how many."""
+
+    _IRREGULAR = SlitGeometry(tuple(np.sort(np.random.default_rng(7).uniform(-6e-5, 6e-5, 64))), 5e-7, 1.0)
+    _EVEN = SlitGeometry.evenly_spaced(64, 2e-6, 5e-7, 1.0)
+
+    @staticmethod
+    def _threads_of_blocks(monkeypatch, workers: int | None = None) -> list[int]:
+        """Force ``workers`` threads (None: the sizing function's own) and record each block's thread."""
+        idents, cosine_sum = [], fringe._cosine_sum
+
+        def recording(*args):
+            idents.append(threading.get_ident())  # list.append holds the GIL, so no record is lost
+            return cosine_sum(*args)
+
+        monkeypatch.setattr(fringe, "_cosine_sum", recording)
+        if workers is not None:
+            monkeypatch.setattr(fringe, "_workers", lambda blocks: workers)
+        return idents
+
+    @pytest.mark.parametrize(
+        "layout,grid",
+        [
+            (_EVEN, np.linspace(-0.3, 0.3, 6001)),  # 137 baselines: 4 blocks
+            (_IRREGULAR, np.linspace(-0.3, 0.3, 2001)),  # 2,016 baselines: 16 blocks, 18% of rows mirrored
+            (_IRREGULAR, np.linspace(0.05, 0.3, 2001)),  # one-sided: every row evaluated
+        ],
+        ids=["even", "irregular-mirror", "irregular-one-sided"],
+    )
+    @pytest.mark.parametrize("convention", PHASE_CONVENTIONS)
+    def test_profiles_are_bit_equal_on_one_two_and_three_threads(self, monkeypatch, layout, grid, convention):
+        profiles = []
+        for workers in (1, 2, 3):
+            started, start = [], threading.Thread.start
+            with monkeypatch.context() as patch:
+                idents = self._threads_of_blocks(patch, workers)
+                patch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+                profiles.append(intensity_profile(layout, grid, convention).intensities)
+            assert len(started) == workers - 1 and not any(thread.is_alive() for thread in started)
+            assert len(idents) >= 4 and threading.get_ident() in idents and len(set(idents)) <= workers
+        assert all(np.array_equal(profile, profiles[0]) for profile in profiles[1:])
+
+    def test_an_error_in_a_block_reaches_the_caller_and_cancels_the_rest(self, monkeypatch, tmp_path):
+        calls, cosine_sum = [], fringe._cosine_sum
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("block failed")
+            return cosine_sum(*args)
+
+        monkeypatch.setattr(fringe, "_cosine_sum", failing)
+        monkeypatch.setattr(fringe, "_workers", lambda blocks: 2)
+        monkeypatch.setattr(fringe, "_BLOCK_CELLS", 1)  # one row a block: 20,001 blocks
+        config = tmp_path / "config.json"
+        config.write_text('{"slit_positions": [-3e-6, 0.5e-6, 2e-6, 7e-6], "samples": 20001}', encoding="utf-8")
+        with pytest.raises(RuntimeError, match="block failed"):
+            cli.main(["simulate", "--config", str(config), "-o", str(tmp_path / "out.csv")])
+        assert len(calls) < 20001 / 2  # the blocks queued behind the failure never ran
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+    def test_the_pool_is_capped_whatever_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(threading.Thread, "start", mock.Mock(side_effect=AssertionError("thread started")))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10**6), raising=False)
+        assert fringe._workers(10**6) == fringe._MAX_WORKERS
+        assert fringe._workers(3) == 3 and fringe._workers(1) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 10**6)
+        assert fringe._workers(10**6) == fringe._MAX_WORKERS
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+        assert fringe._workers(10**6) == 1
+
+    def test_one_cpu_runs_the_blocks_on_the_caller_with_no_pool(self, monkeypatch):
+        grid = np.linspace(-0.3, 0.3, 2001)
+        expected = intensity_profile(self._IRREGULAR, grid).intensities
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", mock.Mock(side_effect=AssertionError("thread started")))
+        idents = self._threads_of_blocks(monkeypatch)
+        assert np.array_equal(intensity_profile(self._IRREGULAR, grid).intensities, expected)
+        assert len(idents) == 16 and set(idents) == {threading.get_ident()}
 
 
 class TestPairPhaseInvariances:
