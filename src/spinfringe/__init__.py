@@ -7,6 +7,8 @@ and projective single-factor measurement -- validated point by point against
 an independent classical-wave oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .config import (
     OUTPUT_DIR_ENV,
     ConfigError,
@@ -64,55 +66,7 @@ from .rotor import (
     rotation_matrix,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # the one version string; pyproject.toml reads it
 
-__all__ = [
-    "ConfigError",
-    "DETECT_STATE_TOL",
-    "DetectionResult",
-    "Ensemble",
-    "FringeProfile",
-    "GeometryError",
-    "NORM_TOL",
-    "NotInUVSpanError",
-    "OUTPUT_DIR_ENV",
-    "PHASE_CONVENTIONS",
-    "PairRotation",
-    "PairState",
-    "ScreenPoint",
-    "SimulationConfig",
-    "SlitGeometry",
-    "Spinor",
-    "SternGerlachStage",
-    "TRANSMITTED_CHOICES",
-    "TwoSpinState",
-    "UV_SPAN_TOL",
-    "UnsupportedCollapseError",
-    "apply_pair",
-    "basis_u",
-    "basis_v",
-    "classical_intensity",
-    "compose_pair_state",
-    "decompose_uv",
-    "default_config",
-    "detect_at_slit",
-    "ensemble_transmission",
-    "incidence_angles",
-    "independent_intensity",
-    "inner",
-    "intensity_profile",
-    "load_config",
-    "measure_factor",
-    "merge_overrides",
-    "multi_slit_intensity",
-    "pair_on_u",
-    "pair_on_v",
-    "pair_phase",
-    "pairwise_identity_check",
-    "rotation_matrix",
-    "slit_phases",
-    "subtended_angle",
-    "tensor",
-    "transmission_probability",
-    "two_slit_state_at",
-]
+# every public name the imports above bind, the submodules they bind aside
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType))

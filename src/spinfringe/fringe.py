@@ -30,7 +30,7 @@ import numpy as np
 from .geometry import (ScreenPoint, SlitGeometry, _by_slit_count, _check_positive, _checked_thetas, _exact_int,
                        _positions_and_wavenumber, pair_phase)
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
-from .rotor import rotation_matrix
+from .rotor import _is_single, rotation_matrix
 
 PHASE_CONVENTIONS = ("paper", "half")
 TRANSMITTED_CHOICES = ("u", "v")
@@ -410,12 +410,13 @@ def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: fl
     Raises
     ------
     ValueError
-        If ``factor`` is not 1 or 2, or the input state (any row of a stack)
-        is not normalized: zero-norm, off by more than 1e-9, or NaN.
+        If ``factor`` is not 1 or 2, a TwoSpinState comes with a non-scalar
+        ``axis_angle``, or the input state (any row of a stack) is not
+        normalized: zero-norm, off by more than 1e-9, or NaN.
     """
     if isinstance(factor, (bool, np.bool_)) or factor not in (1, 2):  # True == 1, so a bool passes `in`
         raise ValueError(f"measured factor must be 1 or 2, got {factor}")
-    single = isinstance(state, TwoSpinState)
+    single = _is_single(state, axis_angle)
     amps = state.vector() if single else np.asarray(state, dtype=complex)
     norm2 = np.sum(np.abs(amps) ** 2, axis=-1)
     if np.any(norm2 <= _WEIGHT_CUTOFF):

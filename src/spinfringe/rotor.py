@@ -60,6 +60,15 @@ def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
     return np.array([[c, s], [-s, c]]).transpose(*range(2, a.ndim + 2), 0, 1)
 
 
+def _is_single(state, *angles) -> bool:
+    """Whether ``state`` is a TwoSpinState, which takes scalar angles only (ValueError otherwise)."""
+    single = isinstance(state, qstate.TwoSpinState)
+    if single and any(map(np.ndim, angles)):
+        raise ValueError(f"a TwoSpinState takes scalar angles, got angles of shape {np.broadcast(*angles).shape};"
+                         " pass state.vector() to act on a stack")
+    return single
+
+
 def apply_pair(pair: PairRotation | tuple, state: qstate.TwoSpinState | np.ndarray):
     """Act with R(alpha) on factor 1 and R(beta) on factor 2.
 
@@ -73,12 +82,7 @@ def apply_pair(pair: PairRotation | tuple, state: qstate.TwoSpinState | np.ndarr
     pinned because rounding, and so every output byte, depends on the order.
     """
     alpha, beta = pair
-    single = isinstance(state, qstate.TwoSpinState)
-    if single and (np.ndim(alpha) or np.ndim(beta)):
-        raise ValueError(
-            f"a TwoSpinState takes scalar angles, got angles of shape {np.broadcast(alpha, beta).shape};"
-            " pass state.vector() to act on a stack"
-        )
+    single = _is_single(state, alpha, beta)
     amps = state.vector() if single else np.asarray(state)
     a, b, grid = rotation_matrix(alpha), rotation_matrix(beta), amps.reshape(amps.shape[:-1] + (2, 2))
     terms = ((a[..., :, j, None] * b[..., None, :, l]) * grid[..., j, l, None, None] for j in (0, 1) for l in (0, 1))

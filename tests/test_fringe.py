@@ -578,7 +578,9 @@ class TestPooledRowBlocks:
                 patch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
                 profiles.append(intensity_profile(layout, grid, convention).intensities)
             assert len(started) == workers - 1 and not any(thread.is_alive() for thread in started)
-            assert len(idents) >= 4 and threading.get_ident() in idents and len(set(idents)) <= workers
+            # the started threads may take every block before the caller takes one, so only one worker pins the caller
+            assert len(idents) >= 4 and len(set(idents)) <= workers
+            assert workers > 1 or set(idents) == {threading.get_ident()}
         assert all(np.array_equal(profile, profiles[0]) for profile in profiles[1:])
 
     def test_an_error_in_a_block_reaches_the_caller_and_cancels_the_rest(self, monkeypatch, tmp_path):
@@ -848,6 +850,20 @@ class TestMeasureFactor:
         for state in (basis_u(), basis_u().vector()[None, :]):
             with pytest.raises(ValueError, match=f"factor must be 1 or 2, got {factor}"):
                 measure_factor(state, factor, 0.0)
+
+    @pytest.mark.parametrize("axis", ([0.1, 0.2], [0.1], [[0.3]]))
+    def test_array_axis_with_a_single_state_rejected(self, axis):
+        # the same error apply_pair gives, raised before the contraction, not numpy's ambiguous truth value
+        for factor in (1, 2):
+            with pytest.raises(ValueError, match=r"a TwoSpinState takes scalar angles, got angles of shape \("):
+                measure_factor(basis_u(), factor, np.array(axis))
+        weights, states = measure_factor(basis_u().vector(), 1, np.array(axis))
+        assert weights.shape == np.shape(axis) + (2,) and states.shape == np.shape(axis) + (2, 4)
+
+    def test_zero_d_axis_measures_as_the_float(self):
+        state = PairState.from_rotation(0.7).as_state()
+        for factor in (1, 2):
+            assert measure_factor(state, factor, np.array(0.3)) == measure_factor(state, factor, 0.3)
 
     @pytest.mark.parametrize(
         "bad_row,message",
