@@ -547,11 +547,19 @@ class TestPooledRowBlocks:
 
     @staticmethod
     def _threads_of_blocks(monkeypatch, workers: int | None = None) -> list[int]:
-        """Force ``workers`` threads (None: the sizing function's own) and record each block's thread."""
+        """Force ``workers`` threads (None: the sizing function's own) and record each block's thread.
+
+        Each thread's first block waits until every forced worker holds one, so with at least as many blocks as
+        workers, every worker, the caller's thread among them, runs a block.
+        """
         idents, cosine_sum = [], fringe._cosine_sum
+        barrier = threading.Barrier(workers or 1, timeout=10)  # a worker that never comes breaks it, not hangs
 
         def recording(*args):
-            idents.append(threading.get_ident())  # list.append holds the GIL, so no record is lost
+            ident = threading.get_ident()
+            if ident not in idents:  # only this thread appends its ident
+                barrier.wait()
+            idents.append(ident)  # list.append holds the GIL, so no record is lost
             return cosine_sum(*args)
 
         monkeypatch.setattr(fringe, "_cosine_sum", recording)
@@ -578,9 +586,7 @@ class TestPooledRowBlocks:
                 patch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
                 profiles.append(intensity_profile(layout, grid, convention).intensities)
             assert len(started) == workers - 1 and not any(thread.is_alive() for thread in started)
-            # the started threads may take every block before the caller takes one, so only one worker pins the caller
-            assert len(idents) >= 4 and len(set(idents)) <= workers
-            assert workers > 1 or set(idents) == {threading.get_ident()}
+            assert len(idents) >= 4 and threading.get_ident() in idents and len(set(idents)) == workers
         assert all(np.array_equal(profile, profiles[0]) for profile in profiles[1:])
 
     def test_an_error_in_a_block_reaches_the_caller_and_cancels_the_rest(self, monkeypatch, tmp_path):
