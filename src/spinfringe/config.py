@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fringe
 from .fringe import SternGerlachStage
-from .geometry import ConfigError, SlitGeometry, _check_positive, _checked_thetas, _exact_int
+from .geometry import ConfigError, SlitGeometry, _check_positive, _checked_thetas, _exact_int, _slit_indices
 
 #: Environment variable that redirects relative output paths to a directory.
 OUTPUT_DIR_ENV = "SPINFRINGE_OUTPUT_DIR"
@@ -86,7 +86,7 @@ class SimulationConfig:
         else:
             _require(self.slit_count is not None and self.separation is not None,
                      "slit_count", "slit_count and separation must be given together")
-            count, field, span_field = self.slit_count, "slit_count", "separation"
+            count, field, span_field = _as_field("slit_count", _exact_int, self.slit_count), "slit_count", "separation"
         _require(count <= MAX_SLITS, field, f"at most {MAX_SLITS} slits, got {count}")
         layout = self.geometry()
         n = layout.n_slits
@@ -115,7 +115,7 @@ class SimulationConfig:
         reach = (2.0 * self.screen_distance * math.tan(theta) + span) / self.screen_distance
         _require(math.isfinite(reach), "screen_distance", f"screen offsets (x - a_k)/L overflow: {reach}")
         _as_field("transmitted", fringe._check_choice, self.transmitted)
-        _as_field("detection", fringe._check_detection, self.detection, n)
+        _as_field("detection", lambda d: len(d) and _slit_indices(d, n, "detection"), self.detection)  # a sequence
 
         if self.sg_stage is not None:
             _as_field("sg_stage", fringe.intensity_profile, layout, [0.0], "half", "u", self.detection, 1.0,
@@ -184,8 +184,8 @@ def load_config(path: str | Path) -> SimulationConfig:
 
 
 def _number(value) -> float:
-    """A number as float; bools and strings raise TypeError, as in ``_exact_int``."""
-    if isinstance(value, (bool, str)):
+    """A number as float; bools (numpy's too) and strings raise TypeError, as in ``_exact_int``."""
+    if isinstance(value, (bool, np.bool_, str)):
         raise TypeError(f"not a number: {value!r}")
     return float(value)
 

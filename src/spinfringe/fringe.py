@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ScreenPoint, SlitGeometry, _by_slit_count, _check_positive, _checked_thetas, _exact_int,
-                       _positions_and_wavenumber, pair_phase)
+                       _positions_and_wavenumber, _slit_indices, pair_phase)
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import _is_single, rotation_matrix
 
@@ -64,13 +64,6 @@ def _rotation_scale(convention: str) -> float:
 def _check_choice(choice: str) -> None:
     if choice not in TRANSMITTED_CHOICES:
         raise ValueError(f"transmitted choice must be one of {TRANSMITTED_CHOICES}, got {choice!r}")
-
-
-def _check_detection(detection, n: int) -> None:
-    """Raise unless every which-way detector index is an exact integer naming one of the n slits (1-based)."""
-    for index in detection:
-        if not 1 <= _exact_int(index) <= n:
-            raise IndexError(f"detection slit index {index} out of range 1..{n}")
 
 
 def _row_blocks(count: int, width: int = 1) -> list[slice]:
@@ -140,6 +133,8 @@ class PairState:
     c_v: float | np.ndarray
 
     def __post_init__(self) -> None:
+        if len(set(shapes := [np.shape(self.phi), np.shape(self.c_u), np.shape(self.c_v)])) > 1:
+            raise ValueError(f"pair-state phi, c_u and c_v must share one shape, got shapes {shapes}")
         total = np.square(self.c_u) + np.square(self.c_v)
         on_circle = np.abs(total - 1.0) <= 1e-12  # False for NaN as well
         if not on_circle.all():
@@ -333,16 +328,16 @@ def intensity_profile(
     scale = _rotation_scale(convention)
     _check_positive("i0", i0)
     n = geometry.n_slits
-    _check_detection(detection, n)
+    detected = len(detection) and _slit_indices(detection, n, "detection").size  # () skips the reader
 
     if stage is not None:
-        if detection:
+        if detected:
             raise ValueError("cannot be combined with detection")
         values = np.empty(grid.shape)
         for rows in _row_blocks(grid.size):
             states = two_slit_state_at(geometry, grid[rows], convention).as_state()
             values[rows] = ensemble_transmission(measure_factor(states, stage.factor, stage.axis_angle), choice)
-    elif detection:
+    elif detected:
         values = np.full(grid.shape, 1.0 / n)
     else:
         pos, k = _positions_and_wavenumber(geometry, grid)
@@ -379,11 +374,10 @@ def detect_at_slit(state: TwoSpinState, i: int) -> DetectionResult:
     ------
     UnsupportedCollapseError
         If ``state`` deviates from u by more than ``DETECT_STATE_TOL``.
-    IndexError
-        If ``i`` is not 1 or 2.
+    TypeError, IndexError
+        If ``i`` is not a number that ``_slit_indices`` reads as 1 or 2.
     """
-    if i not in (1, 2):
-        raise IndexError(f"detector slit index must be 1 or 2, got {i}")
+    i = _slit_indices(_exact_int(i), 2, "i")  # one detector: a number, not an array
     deviation = float(np.max(np.abs(state.vector() - basis_u().vector())))
     if deviation > DETECT_STATE_TOL:
         raise UnsupportedCollapseError(

@@ -48,6 +48,17 @@ def _exact_int(value) -> int:
     return operator.index(value)
 
 
+def _slit_indices(index, n: int, name: str):
+    """1-based slit indices into n slits, read by ``_exact_int``: an int for a number, else an int array."""
+    array = isinstance(index, (np.ndarray, Sequence)) and not isinstance(index, str)
+    if not (isinstance(index, np.ndarray) and index.dtype.kind in "iu"):  # integer arrays pass unchanged
+        index = np.array(np.frompyfunc(_exact_int, 1, 1)(np.array(index, object)), int) if array else _exact_int(index)
+    bad = index[(index < 1) | (index > n)] if array else ([] if 1 <= index <= n else [index])
+    if len(bad):
+        raise IndexError(f"slit index {name}={bad[0]} out of range 1..{n}")
+    return index
+
+
 @dataclass(frozen=True)
 class SlitGeometry:
     """Aperture layout: transverse slit positions, wavelength, screen distance.
@@ -84,6 +95,7 @@ class SlitGeometry:
         cls, count: int, separation: float, wavelength: float, screen_distance: float
     ) -> "SlitGeometry":
         """Layout of ``count`` slits with center-to-center ``separation``, centered on 0."""
+        count = _exact_int(count)
         if count < 2:
             raise ConfigError("slit_count", f"need at least 2 slits, got {count}")
         _check_positive("separation", separation)
@@ -93,7 +105,8 @@ class SlitGeometry:
 
 
 def _check_positive(field: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
+    # True > 0, as 1 is, so a bool is refused; a float, the usual value, skips that test
+    if type(value) is not float and isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
         raise ConfigError(field, f"must be positive, got {value}")
 
 
@@ -146,12 +159,8 @@ def _positions_and_wavenumber(geometry, point) -> tuple[np.ndarray, float | np.n
 
 
 def _pair_indices(n: int, i, j, quantity: str) -> tuple[np.ndarray, np.ndarray]:
-    """0-based index arrays of 1-based indices into n slits; raises IndexError naming the first bad one."""
-    first, second = np.broadcast_arrays(i, j)
-    for name, index in (("i", first), ("j", second)):
-        bad = (index < 1) | (index > n)
-        if bad.any():
-            raise IndexError(f"slit index {name}={index[bad][0]} out of range 1..{n}")
+    """0-based index arrays of 1-based ``_slit_indices`` i and j into n slits; i == j raises IndexError."""
+    first, second = np.broadcast_arrays(_slit_indices(i, n, "i"), _slit_indices(j, n, "j"))
     same = first == second
     if same.any():
         raise IndexError(f"{quantity} needs two distinct slits, got i=j={first[same][0]}")
@@ -187,7 +196,8 @@ def pair_phase(geometry: SlitGeometry | Sequence[SlitGeometry], point, i, j) -> 
     it unchanged; additive (phi_ik = phi_ij + phi_jk) up to last-bit rounding
     and strictly monotone in sin(theta).  ``i``, ``j`` are 1-based indices or
     index arrays: the result has shape grid (or stack) + index shape (a float
-    for a ScreenPoint and scalars); a bad index or i == j raises IndexError.
+    for a ScreenPoint and scalars).  2.0 reads as 2, a bool or fraction raises
+    TypeError, and an index outside 1..N or i == j raises IndexError.
     """
     pos, k = _positions_and_wavenumber(geometry, point)
     first, second = _pair_indices(pos.shape[-1], i, j, "pair phase")

@@ -214,6 +214,7 @@ class TestMalformedInput:
         "argv,name",
         [
             (["--detection", "1.7"], "detection"),
+            (["--detection", "3"], "detection"),  # the default layout has two slits
             (["--slit-positions", ""], "slit_positions"),
             (["--sg-axis-angle", "0.3"], "sg_stage"),
         ],
@@ -317,6 +318,20 @@ class TestMalformedInput:
         config = load_config(write_config(tmp_path, slit_count=3.0, samples=11.0, detection=[2.0]))
         assert (config.slit_count, config.samples, config.detection) == (3, 11, (2,))
         assert all(type(v) is int for v in (config.slit_count, config.samples, *config.detection))
+
+    @pytest.mark.parametrize("count", [True, 2.5, "3"], ids=repr)
+    def test_hand_built_slit_count_names_its_field(self, count):
+        # SlitGeometry.evenly_spaced reads the count as an exact integer; validate() names the field it came from
+        with pytest.raises(ConfigError) as excinfo:
+            SimulationConfig(slit_count=count).validate()
+        assert excinfo.value.field == "slit_count"
+
+    @pytest.mark.parametrize("field", ["wavelength", "separation", "i0", "slit_positions"])
+    def test_numpy_bool_is_not_a_number(self, field):
+        # np.True_ is no bool subclass, but it is no more a number than True is: it must not read as 1.0
+        with pytest.raises(ConfigError) as excinfo:
+            merge_overrides(default_config(), {field: [np.True_, 1.0] if field == "slit_positions" else np.True_})
+        assert excinfo.value.field == field
 
     def test_one_error_class(self):
         assert spinfringe.ConfigError is spinfringe.config.ConfigError is spinfringe.geometry.ConfigError

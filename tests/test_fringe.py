@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import threading
 import tracemalloc
 from unittest import mock
@@ -41,9 +42,11 @@ from spinfringe import (
     pair_phase,
     rotation_matrix,
     slit_phases,
+    subtended_angle,
     transmission_probability,
     two_slit_state_at,
 )
+from spinfringe.geometry import _slit_indices
 
 
 def projector_oracle(state_vec: np.ndarray, factor: int, axis: float):
@@ -101,6 +104,21 @@ class TestPairState:
         c_u = np.array([1.0, 0.0])
         PairState(np.zeros(2), c_u, np.array([0.0, -1.0]))
         c_u[0] = 1.0  # the caller's array is copied, not frozen
+
+    @pytest.mark.parametrize(
+        "phi,c_u,c_v",
+        [
+            (np.zeros(3), np.array([1.0, 0.0]), np.array([0.0, -1.0])),
+            (0.0, np.array([1.0, 0.0]), np.array([0.0, -1.0])),
+            (np.zeros(2), np.array([1.0, 1.0]), 0.0),
+            (np.zeros(2), np.array([[1.0, 0.0]]), np.array([[0.0, -1.0]])),
+        ],
+    )
+    def test_fields_must_share_one_shape(self, phi, c_u, c_v):
+        # each case lies on the unit circle, so only the shapes are wrong
+        shapes = [np.shape(phi), np.shape(c_u), np.shape(c_v)]
+        with pytest.raises(ValueError, match=re.escape(f"phi, c_u and c_v must share one shape, got shapes {shapes}")):
+            PairState(phi, c_u, c_v)
 
 
 class TestTwoSlitStateAt:
@@ -212,6 +230,14 @@ class TestIntensityProfile:
         with pytest.raises(ConfigError, match="detection"):
             SimulationConfig(slit_count=3, detection=(index,)).validate()
 
+    @pytest.mark.parametrize("detection", [1, np.int64(1), "1"], ids=repr)
+    def test_detection_is_a_sequence(self, three_slit, detection):
+        # a bare number is not a detection set, in the library as in a hand-built config
+        with pytest.raises(TypeError):
+            intensity_profile(three_slit, np.array([0.0]), detection=detection)
+        with pytest.raises(ConfigError, match="^detection: "):
+            SimulationConfig(slit_count=3, detection=detection).validate()
+
     def test_detection_index_accepts_integral_numbers(self, three_slit):
         for index in (2, 2.0, np.int64(2)):
             profile = intensity_profile(three_slit, np.array([0.0]), detection=(index,))
@@ -230,6 +256,15 @@ class TestIntensityProfile:
         assert profile.i0 == 2.5
         assert profile.intensities.max() == pytest.approx(2.5, abs=1e-12)
         assert profile.intensities.min() >= 0.0
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_i0_rejected(self, two_slit, flag):
+        # a bool is not a number here, as in the config: True would otherwise read as i0 = 1
+        for make in (lambda: intensity_profile(two_slit, [0.0], i0=flag),
+                     lambda: FringeProfile(np.array([0.0]), np.array([0.5]), i0=flag)):
+            with pytest.raises(ConfigError) as excinfo:
+                make()
+            assert excinfo.value.field == "i0"
 
     def test_center_peak_under_both_conventions(self, two_slit):
         grid = np.linspace(-0.3, 0.3, 301)
@@ -786,6 +821,92 @@ class TestDetectAtSlit:
     def test_aperture_index_validated(self):
         with pytest.raises(IndexError):
             detect_at_slit(basis_u(), 3)
+
+    @pytest.mark.parametrize("index", [np.array([1]), np.array(1.5), [1]], ids=repr)
+    def test_aperture_is_one_number(self, index):
+        with pytest.raises(TypeError):
+            detect_at_slit(basis_u(), index)
+
+
+_THREE_SLITS = SlitGeometry.evenly_spaced(3, 2e-6, 500e-9, 1.0)
+_INDEX_GRID = np.linspace(-0.2, 0.2, 5)
+
+
+def _detection(index):
+    """The detection a table value names: a tuple or an array as given, a number as the one detector."""
+    return index if isinstance(index, (tuple, np.ndarray)) else (index,)
+
+
+#: Every reader of 1-based slit indices: the call on one index, the slits it reads into, the name its IndexError gives.
+_SLIT_INDEX_READERS = {
+    "pair_phase i": (lambda index: pair_phase(_THREE_SLITS, _INDEX_GRID, index, 2), 3, "i"),
+    "pair_phase j": (lambda index: pair_phase(_THREE_SLITS, _INDEX_GRID, 3, index), 3, "j"),
+    "pair_phase point": (lambda index: pair_phase(_THREE_SLITS, ScreenPoint(0.1), index, 3), 3, "i"),
+    "subtended_angle": (lambda index: subtended_angle(_THREE_SLITS, ScreenPoint(0.1), 2, index), 3, "j"),
+    "detection": (
+        lambda index: intensity_profile(_THREE_SLITS, _INDEX_GRID, detection=_detection(index)).intensities, 3,
+        "detection",
+    ),
+    "config detection": (
+        lambda index: SimulationConfig(slit_count=3, detection=_detection(index)).validate()[1], 3, "detection"
+    ),
+    "detect_at_slit": (lambda index: detect_at_slit(basis_u(), index), 2, "i"),
+}
+
+
+class TestSlitIndexReaders:
+    """One rule for every 1-based slit index: an exact integer in 1..n, whatever reads it."""
+
+    @pytest.mark.parametrize("reader", _SLIT_INDEX_READERS)
+    @pytest.mark.parametrize("index", [1, np.int64(1), 1.0, np.float64(1.0)], ids=repr)
+    def test_an_integral_number_reads_as_the_int(self, reader, index):
+        read = _SLIT_INDEX_READERS[reader][0]
+        expected, result = read(1), read(index)
+        assert type(result) is type(expected)
+        if reader == "detect_at_slit":
+            assert type(result.aperture) is int
+            assert result == expected
+        else:
+            assert np.array_equal(result, expected)
+
+    @pytest.mark.parametrize("reader", ["pair_phase i", "pair_phase j", "pair_phase point", "detection",
+                                        "config detection"])
+    @pytest.mark.parametrize(
+        "index", [np.array([1, 1]), np.array([[1]], dtype=np.uint8), np.array([1.0, 1.0]), [1, 1.0]], ids=repr
+    )
+    def test_an_index_array_reads_entry_by_entry(self, reader, index):
+        read = _SLIT_INDEX_READERS[reader][0]
+        expected = read(1)
+        if reader.startswith("pair_phase"):  # one column per index
+            expected = np.multiply.outer(expected, np.ones(np.shape(index)))
+        assert np.array_equal(read(index), expected)
+
+    def test_an_integer_array_passes_unchanged(self):
+        for index in (np.array([1, 3, 2]), np.array([[2]], dtype=np.uint8)):
+            assert _slit_indices(index, 3, "i") is index
+
+    @pytest.mark.parametrize("reader", _SLIT_INDEX_READERS)
+    @pytest.mark.parametrize("index", [True, np.True_, 1.5, "1", (2, True)], ids=repr)
+    def test_a_bool_fraction_or_non_number_raises_type_error(self, reader, index):
+        read = _SLIT_INDEX_READERS[reader][0]
+        if reader == "config detection":
+            with pytest.raises(ConfigError) as excinfo:
+                read(index)
+            assert excinfo.value.field == "detection"
+        else:
+            with pytest.raises(TypeError):
+                read(index)
+
+    @pytest.mark.parametrize("reader", _SLIT_INDEX_READERS)
+    @pytest.mark.parametrize("past", [False, True])
+    def test_an_index_outside_the_slits_names_its_reader(self, reader, past):
+        read, n, name = _SLIT_INDEX_READERS[reader]
+        bad = n + 1 if past else 0
+        message = f"slit index {name}={bad} out of range 1..{n}"
+        if reader == "config detection":
+            message = f"^detection: {message}$"
+        with pytest.raises(ConfigError if reader == "config detection" else IndexError, match=message):
+            read(bad)
 
 
 class TestMeasureFactor:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfringe import (
+    ConfigError,
     ScreenPoint,
     SlitGeometry,
     incidence_angles,
@@ -26,6 +27,25 @@ class TestSlitGeometry:
     def test_evenly_spaced_three_centered(self):
         g = SlitGeometry.evenly_spaced(3, 1e-6, 500e-9, 1.0)
         assert g.slit_positions == (-1e-6, 0.0, 1e-6)
+
+    def test_evenly_spaced_count_is_an_exact_integer(self):
+        # read as the config reads slit_count: 3.0 is 3, and a bool or a fraction is refused
+        assert SlitGeometry.evenly_spaced(3.0, 1e-6, 500e-9, 1.0) == SlitGeometry.evenly_spaced(3, 1e-6, 500e-9, 1.0)
+        for count in (True, np.True_, 2.5, "3"):
+            with pytest.raises(TypeError):
+                SlitGeometry.evenly_spaced(count, 1e-6, 500e-9, 1.0)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_numbers_rejected(self, flag):
+        # True > 0, so without the bool check it would build a 1 m wavelength, distance or separation
+        for field, make in (
+            ("wavelength", lambda: SlitGeometry((0.0, 1e-6), flag, 1.0)),
+            ("screen_distance", lambda: SlitGeometry((0.0, 1e-6), 500e-9, flag)),
+            ("separation", lambda: SlitGeometry.evenly_spaced(2, flag, 500e-9, 1.0)),
+        ):
+            with pytest.raises(ConfigError) as excinfo:
+                make()
+            assert excinfo.value.field == field
 
     def test_too_few_slits(self):
         with pytest.raises(ValueError, match="at least 2"):
