@@ -323,7 +323,7 @@ def run_compare(config: SimulationConfig) -> tuple[Path, float]:
     # only the intensities are kept: the profile's copy of the grid would be a second theta column
     intensities = intensity_profile(layout, grid, config.phase_convention, config.transmitted, config.detection,
                                     config.i0, config.sg_stage).intensities
-    oracle = independent_intensity if config.detection else classical_intensity
+    oracle = independent_intensity if len(config.detection) else classical_intensity
     # the oracle sees the layout moved to its midpoint (far off axis, k*a_k loses digits) unless that merges slits
     mid = (layout.slit_positions[0] + layout.slit_positions[-1]) / 2
     with contextlib.suppress(ConfigError):

@@ -5,12 +5,12 @@ slit layout is given either as explicit ``slit_positions`` or as
 ``slit_count`` + ``separation`` (centered, evenly spaced) -- exactly one
 form.  Flag overrides win over file values; overriding one slit form clears
 the other.  Each field is converted once, by its entry in ``_CONVERTERS``:
-number fields reject booleans and strings, list fields reject a bare string,
-string fields reject non-strings, and ``sg_stage`` takes a mapping of
-``factor`` and ``axis_angle`` that updates the current stage.  A None value
-leaves any field as it is.  A rule the model already enforces is
-checked by calling the model's check, among them the theta-grid rule and the
-Stern-Gerlach stage's factor, axis, slit-count and detection rules.
+number fields by ``geometry._number``, the one reader of a real number, which
+the layout and ``i0`` checks share; list fields reject a bare string, string
+fields reject non-strings, and ``sg_stage`` takes a mapping of ``factor`` and
+``axis_angle`` that updates the current stage.  A None value leaves any field
+as it is.  A rule the model already enforces is checked by calling the
+model's check, among them the theta-grid and SG-stage rules.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import fringe
 from .fringe import SternGerlachStage
-from .geometry import ConfigError, SlitGeometry, _check_positive, _checked_thetas, _exact_int, _slit_indices
+from .geometry import (ConfigError, SlitGeometry, _as_field, _check_positive, _checked_thetas, _exact_int, _number,
+                       _slit_indices)
 
 #: Environment variable that redirects relative output paths to a directory.
 OUTPUT_DIR_ENV = "SPINFRINGE_OUTPUT_DIR"
@@ -145,14 +146,6 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(field, message)
 
 
-def _as_field(field: str, check, *args):
-    """Run one of the model's own checks and return its result; its failure becomes ConfigError(field)."""
-    try:
-        return check(*args)
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(field, str(exc)) from None
-
-
 def default_config() -> SimulationConfig:
     """Two slits 2 um apart, 500 nm wavelength, 1 m screen, 1001 samples, half convention."""
     return SimulationConfig()
@@ -172,22 +165,11 @@ def config_from_dict(data: dict, source: str = "the document") -> SimulationConf
 
 def load_config(path: str | Path) -> SimulationConfig:
     """Load and validate a JSON config file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
+    try:  # a ValueError: not UTF-8, not JSON, or an integer past int's digit limit
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError("config", f"cannot read {path} as JSON: {exc}") from exc
     return config_from_dict(data, source=str(path))
-
-
-def _number(value) -> float:
-    """A number as float; bools (numpy's too) and strings raise TypeError, as in ``_exact_int``."""
-    if isinstance(value, (bool, np.bool_, str)):
-        raise TypeError(f"not a number: {value!r}")
-    return float(value)
 
 
 def _text(value) -> str:

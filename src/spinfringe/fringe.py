@@ -174,21 +174,21 @@ class FringeProfile:
     i0: float = 1.0
 
     def __post_init__(self) -> None:
-        thetas = _theta_grid(np.array(self.thetas, dtype=float))
+        thetas = np.array(_theta_grid(self.thetas))
         intensities = np.array(self.intensities, dtype=float)
         if intensities.shape != thetas.shape:
             raise ValueError(
                 f"intensity shape {intensities.shape} does not match theta shape {thetas.shape}"
             )
-        _check_positive("i0", self.i0)
+        i0 = _check_positive("i0", self.i0)
         # written so that a NaN intensity fails the comparison
-        if not np.all((intensities >= 0) & (intensities <= self.i0)):
+        if not np.all((intensities >= 0) & (intensities <= i0)):
             raise ValueError("intensities must lie in [0, i0]")
         thetas.setflags(write=False)
         intensities.setflags(write=False)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "intensities", intensities)
-        object.__setattr__(self, "i0", float(self.i0))
+        object.__setattr__(self, "i0", i0)
 
     @property
     def samples(self) -> list[tuple[float, float]]:
@@ -326,7 +326,7 @@ def intensity_profile(
     grid = _theta_grid(thetas)
     _check_choice(choice)
     scale = _rotation_scale(convention)
-    _check_positive("i0", i0)
+    i0 = _check_positive("i0", i0)
     n = geometry.n_slits
     detected = len(detection) and _slit_indices(detection, n, "detection").size  # () skips the reader
 

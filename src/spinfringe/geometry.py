@@ -39,6 +39,26 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
+def _number(value) -> float:
+    """A real number as float; TypeError for a bool (numpy's too), a string or a non-number, ValueError past floats."""
+    if type(value) is float:
+        return value
+    if value is None or isinstance(value, (bool, np.bool_, str, bytes, np.complexfloating)):
+        raise TypeError(f"not a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int past the float range, as a JSON number may be
+        raise ValueError(str(exc)) from None
+
+
+def _as_field(field: str, check, *args):
+    """Run a check or a reader and return its result; its IndexError, TypeError or ValueError is ConfigError(field)."""
+    try:
+        return check(*args)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
 def _exact_int(value) -> int:
     """An integer-valued number as int; bools and fractional values raise TypeError."""
     if isinstance(value, bool):
@@ -73,18 +93,16 @@ class SlitGeometry:
     screen_distance: float
 
     def __post_init__(self) -> None:
-        pos = tuple(float(a) for a in self.slit_positions)
+        pos = _as_field("slit_positions", tuple, map(_number, self.slit_positions))
         if len(pos) < 2:
             raise ConfigError("slit_positions", f"need at least 2 slits, got {len(pos)}")
-        if not all(math.isfinite(a) for a in pos):
+        if not all(map(math.isfinite, pos)):
             raise ConfigError("slit_positions", "must be finite")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
+        if any(map(operator.ge, pos, pos[1:])):  # some a_k >= a_(k+1)
             raise ConfigError("slit_positions", f"must be strictly increasing, got {pos}")
-        _check_positive("wavelength", self.wavelength)
-        _check_positive("screen_distance", self.screen_distance)
         object.__setattr__(self, "slit_positions", pos)
-        object.__setattr__(self, "wavelength", float(self.wavelength))
-        object.__setattr__(self, "screen_distance", float(self.screen_distance))
+        object.__setattr__(self, "wavelength", _check_positive("wavelength", self.wavelength))
+        object.__setattr__(self, "screen_distance", _check_positive("screen_distance", self.screen_distance))
 
     @property
     def n_slits(self) -> int:
@@ -98,16 +116,17 @@ class SlitGeometry:
         count = _exact_int(count)
         if count < 2:
             raise ConfigError("slit_count", f"need at least 2 slits, got {count}")
-        _check_positive("separation", separation)
+        separation = _check_positive("separation", separation)
         offset = 0.5 * (count - 1)
         positions = tuple((k - offset) * separation for k in range(count))
         return cls(positions, wavelength, screen_distance)
 
 
-def _check_positive(field: str, value: float) -> None:
-    # True > 0, as 1 is, so a bool is refused; a float, the usual value, skips that test
-    if type(value) is not float and isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+def _check_positive(field: str, value) -> float:
+    """``value`` read by ``_number`` as a finite positive float; anything else raises ConfigError(field)."""
+    if not (math.isfinite(number := _as_field(field, _number, value)) and number > 0):
         raise ConfigError(field, f"must be positive, got {value}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -121,8 +140,10 @@ class ScreenPoint:
 
 
 def _checked_thetas(thetas) -> np.ndarray:
-    """``thetas`` as a float array; raises unless every entry is finite with |theta| < pi/2."""
-    grid = np.asarray(thetas, dtype=float)
+    """``thetas`` as a float array: TypeError unless int or float, ValueError unless finite with |theta| < pi/2."""
+    if (grid := np.asarray(thetas)).dtype.kind not in "iuf":  # so a bool, complex, text or object array raises
+        raise TypeError(f"theta must be real, got dtype {grid.dtype}")
+    grid = np.asarray(grid, dtype=float)
     inside = np.abs(grid) < math.pi / 2  # False for nan and inf as well
     if not inside.all():
         raise ValueError(f"theta must be finite with |theta| < pi/2, got {grid[~inside].flat[0]}")

@@ -200,6 +200,27 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            # an integer json reads, but past the float range
+            (b'{"wavelength": 1' + b"0" * 400 + b"}", "wavelength"),
+            # past the 4,300 digits that json reads as an int
+            (b'{"wavelength": 1' + b"0" * 5000 + b"}", "config"),
+            (b'\xff{"samples": 11}', "config"),  # not UTF-8
+        ],
+        ids=["400 digits", "5001 digits", "not UTF-8"],
+    )
+    def test_config_file_text(self, tmp_path, capsys, text, field):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        code = main(["simulate", "--config", str(path), "-o", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {field}:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_config_document_that_is_not_an_object_names_config(self, tmp_path, capsys):
         path = tmp_path / "array.json"
         path.write_text("[1, 2]", encoding="utf-8")
@@ -678,6 +699,14 @@ class TestCompare:
         )
         _, max_abs_diff = run_compare(config)
         assert max_abs_diff <= 1e-12
+
+    @pytest.mark.parametrize("detection", [np.array([1, 2]), np.array([], dtype=int)], ids=repr)
+    def test_an_array_detection_picks_its_oracle_by_length(self, tmp_path, detection):
+        # validate() and intensity_profile take an integer array; an array has no truth value, so len decides
+        config = SimulationConfig(slit_count=3, detection=detection, samples=11, output_path=str(tmp_path / "det.csv"))
+        _, max_abs_diff = run_compare(config)
+        assert max_abs_diff <= 1e-12
+        assert run_simulate(config).exists()
 
     def test_the_oracle_computes_every_row_the_model_copies_from_its_mirror(self, tmp_path, monkeypatch):
         counted = {"model": 0, "oracle": 0}

@@ -46,6 +46,7 @@ from spinfringe import (
     transmission_probability,
     two_slit_state_at,
 )
+from spinfringe.config import default_config, merge_overrides
 from spinfringe.geometry import _slit_indices
 
 
@@ -907,6 +908,123 @@ class TestSlitIndexReaders:
             message = f"^detection: {message}$"
         with pytest.raises(ConfigError if reader == "config detection" else IndexError, match=message):
             read(bad)
+
+
+def _layout_and_grid(checked):
+    """``validate()``'s (layout, grid) as plain values, so that a comparison sees the types too."""
+    layout, grid = checked
+    return layout.slit_positions, layout.wavelength, layout.screen_distance, grid
+
+
+def _config_reader(field):
+    """``SimulationConfig(...).validate()`` with ``field`` set from a value; positions take it as slit 2."""
+    def read(value):
+        fields = {"theta_max": 1.5} if field == "theta_min" else {}  # so theta_min = 1 stays below theta_max
+        fields[field] = value
+        if field == "slit_positions":
+            fields.update(slit_positions=(0.0, value), slit_count=None, separation=None)
+        return _layout_and_grid(SimulationConfig(samples=11, **fields).validate())
+    return read
+
+
+def _merge_reader(field):
+    """``merge_overrides`` of one file or flag value into ``field``; positions take it as slit 2."""
+    return lambda value: getattr(
+        merge_overrides(default_config(), {field: [0.0, value] if field == "slit_positions" else value}), field
+    )
+
+
+_NUMBER_FIELDS = ("wavelength", "screen_distance", "separation", "theta_min", "theta_max", "i0", "slit_positions")
+
+#: Every reader of a real number: the call on one value and the field its ConfigError names (None: a TypeError).
+_NUMBER_READERS = {
+    "SlitGeometry position": (lambda value: SlitGeometry((0.0, value), 5e-7, 1.0).slit_positions, "slit_positions"),
+    "SlitGeometry wavelength": (lambda value: SlitGeometry((0.0, 1e-6), value, 1.0).wavelength, "wavelength"),
+    "SlitGeometry screen_distance": (
+        lambda value: SlitGeometry((0.0, 1e-6), 5e-7, value).screen_distance, "screen_distance"
+    ),
+    "evenly_spaced separation": (
+        lambda value: SlitGeometry.evenly_spaced(2, value, 5e-7, 1.0).slit_positions, "separation"
+    ),
+    "FringeProfile i0": (lambda value: FringeProfile(np.array([0.0]), np.array([0.5]), i0=value).i0, "i0"),
+    "intensity_profile i0": (
+        lambda value: (lambda profile: (profile.i0, profile.intensities))(
+            intensity_profile(_THREE_SLITS, _INDEX_GRID, i0=value)), "i0"
+    ),
+    "ScreenPoint": (lambda value: ScreenPoint(value).theta, None),
+    "intensity_profile grid": (lambda value: intensity_profile(_THREE_SLITS, [value]).intensities, None),
+    **{f"config {field}": (_config_reader(field), field) for field in _NUMBER_FIELDS},
+    **{f"merge {field}": (_merge_reader(field), field) for field in _NUMBER_FIELDS},
+}
+
+
+def _same(result, expected) -> bool:
+    """Equal values of equal types, entry by entry; arrays of one dtype."""
+    if isinstance(expected, tuple):
+        return type(result) is tuple and len(result) == len(expected) and all(map(_same, result, expected))
+    if isinstance(expected, np.ndarray):
+        return type(result) is np.ndarray and result.dtype == expected.dtype and np.array_equal(result, expected)
+    return type(result) is type(expected) and result == expected
+
+
+#: Values no reader takes: bools (numpy's too), strings, None, a complex and an integer past the float range.
+_NOT_NUMBERS = [True, np.True_, "1", b"1", None, np.complex128(1), 10**400]
+
+
+class TestNumberReaders:
+    """One rule for every real number, whatever reads it: ``geometry._number``'s."""
+
+    @pytest.mark.parametrize("reader", _NUMBER_READERS)
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.float64(1.0)], ids=repr)
+    def test_a_number_reads_as_its_float(self, reader, value):
+        read = _NUMBER_READERS[reader][0]
+        assert _same(read(value), read(1.0))
+
+    @pytest.mark.parametrize(
+        "reader,value",
+        [
+            (reader, value)
+            for reader in _NUMBER_READERS
+            for value in _NOT_NUMBERS
+            # a None override leaves a field as it is, and separation=None leaves out the count form
+            if not (value is None and (reader.startswith("merge") and reader != "merge slit_positions"
+                                       or reader == "config separation"))
+        ],
+        ids=repr,
+    )
+    def test_a_non_number_names_its_field(self, reader, value):
+        read, field = _NUMBER_READERS[reader]
+        with pytest.raises(TypeError if field is None else ConfigError) as excinfo:
+            read(value)
+        if field is not None:
+            assert excinfo.value.field == field
+
+    @pytest.mark.parametrize(
+        "fields,field",
+        [
+            ({"wavelength": "5e-7"}, "wavelength"),
+            ({"screen_distance": None}, "screen_distance"),
+            ({"separation": "2e-6"}, "separation"),
+            ({"i0": "2"}, "i0"),
+            ({"theta_min": "-0.3"}, "theta_min"),
+            ({"slit_positions": (False, True), "slit_count": None, "separation": None}, "slit_positions"),
+            ({"slit_positions": ("0", "1e-6"), "slit_count": None, "separation": None}, "slit_positions"),
+        ],
+        ids=repr,
+    )
+    def test_a_hand_built_config_names_its_field(self, fields, field):
+        # read by the model's own checks, which name the field; (False, True) must not read as slits at 0 and 1 m
+        with pytest.raises(ConfigError) as excinfo:
+            SimulationConfig(**fields).validate()
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("grid", [np.array([0.1, 0.2], dtype=complex), np.array(["0.1", "0.2"]),
+                                      np.array([False, True]), [0.1, None]], ids=repr)
+    def test_a_grid_of_non_numbers_raises_type_error(self, grid):
+        with pytest.raises(TypeError, match="theta must be real"):
+            intensity_profile(_THREE_SLITS, grid)
+        with pytest.raises(TypeError, match="theta must be real"):
+            FringeProfile(grid, np.full(len(grid), 0.5))
 
 
 class TestMeasureFactor:
