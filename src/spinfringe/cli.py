@@ -9,8 +9,9 @@ geometry   dump per-angle incidence angles and pair phases
 
 Exit codes: 0 success, 1 verification failure, 2 config error (such as a screen
 distance whose offsets (x - a_k)/L overflow), 3 I/O error.  Output files are
-written atomically (temp file + rename) with the mode ``open(path, "w")`` gives,
-or the replaced file's own, and identical configs produce byte-identical files.
+written atomically (temp file + rename) by ``_atomic_text``, the one owner of that
+contract, with the mode ``open(path, "w")`` gives, or the replaced file's own, and
+identical configs produce byte-identical files.
 CSV numbers (``%.16e``) and JSON numbers (``repr``) are rendered per row block by
 a numpy implementation of that format (not a new one); ``json.dumps`` writes the JSON frame.
 """
@@ -272,20 +273,10 @@ def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:
     return f'{head}"{key}": [\n', f"\n  ]{tail}\n"
 
 
-def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
-    """Write a table in the config's output format atomically (temp file + rename).
-
-    ``table`` is the whole columns, or a function from a row slice to that
-    block's columns (``config.samples`` rows).  The head, the ``render_profile`` text
-    of each block of ``_CHUNK_CELLS`` cells or one row, however wide, and the tail go
-    into the temp file in turn, so neither the text nor a function's table is ever
-    held whole.  Any failure removes the temp file and leaves the path's file as it was.
-    A new file gets the mode ``open(path, "w")`` gives; an overwritten one keeps its own.
-    """
-    count = config.samples if callable(table) else len(table[0])
-    block_of = table if callable(table) else lambda rows: [column[rows] for column in table]
-    head, tail = _frame(columns, config.output_format, scalars)
-    path = resolve_output_path(config)
+@contextlib.contextmanager
+def _atomic_text(path: Path):
+    """A UTF-8 text handle on a new temp file beside ``path``, which replaces ``path`` on a clean exit; any exception,
+    ``KeyboardInterrupt`` too, removes it and leaves ``path`` as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies, as in open(path, "w")
@@ -293,19 +284,31 @@ def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             with contextlib.suppress(FileNotFoundError):  # an overwritten file keeps its mode
                 os.chmod(tmp_name, stat.S_IMODE(os.stat(path).st_mode))
-            handle.write(head)
-            step = max(1, _CHUNK_CELLS // len(columns))
-            for start in range(0, count, step):
-                if start:
-                    handle.write(_ROW_SEPARATOR[config.output_format])
-                rows = slice(start, min(start + step, count))
-                handle.write(render_profile(columns, block_of(rows), config.output_format, **scalars))
-            handle.write(tail)
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
+
+
+def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
+    """Write a table in the config's output format through ``_atomic_text``; ``table`` is the whole columns, or a
+    function from a row slice to that block's columns (``config.samples`` rows).  The head, the ``render_profile``
+    text of each block of ``_CHUNK_CELLS`` cells or one row, however wide, and the tail go to the handle in turn,
+    so neither the text nor a function's table is ever held whole."""
+    count = config.samples if callable(table) else len(table[0])
+    block_of = table if callable(table) else lambda rows: [column[rows] for column in table]
+    head, tail = _frame(columns, config.output_format, scalars)
+    with _atomic_text(path := resolve_output_path(config)) as handle:
+        handle.write(head)
+        step = max(1, _CHUNK_CELLS // len(columns))
+        for start in range(0, count, step):
+            if start:
+                handle.write(_ROW_SEPARATOR[config.output_format])
+            rows = slice(start, min(start + step, count))
+            handle.write(render_profile(columns, block_of(rows), config.output_format, **scalars))
+        handle.write(tail)
     return path
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import fringe
 from .fringe import SternGerlachStage
 from .geometry import (ConfigError, SlitGeometry, _as_field, _check_positive, _checked_thetas, _exact_int, _number,
-                       _slit_indices)
+                       _shown, _slit_indices)
 
 #: Environment variable that redirects relative output paths to a directory.
 OUTPUT_DIR_ENV = "SPINFRINGE_OUTPUT_DIR"
@@ -88,7 +88,7 @@ class SimulationConfig:
             _require(self.slit_count is not None and self.separation is not None,
                      "slit_count", "slit_count and separation must be given together")
             count, field, span_field = _as_field("slit_count", _exact_int, self.slit_count), "slit_count", "separation"
-        _require(count <= MAX_SLITS, field, f"at most {MAX_SLITS} slits, got {count}")
+        _require(count <= MAX_SLITS, field, f"at most {MAX_SLITS} slits, got {_shown(count, str)}")
         layout = self.geometry()
         n = layout.n_slits
 
@@ -97,7 +97,7 @@ class SimulationConfig:
         _require(self.theta_min < self.theta_max,
                  "theta_max", f"must exceed theta_min, got [{self.theta_min}, {self.theta_max}]")
         _require(isinstance(self.samples, int) and 2 <= self.samples <= MAX_SAMPLES,
-                 "samples", f"must be an integer in [2, {MAX_SAMPLES}], got {self.samples}")
+                 "samples", f"must be an integer in [2, {MAX_SAMPLES}], got {_shown(self.samples, str)}")
         cells = self.samples * (1 + n + n * (n - 1) // 2)
         _require(cells <= MAX_CELLS, "samples",
                  f"{self.samples} samples at {n} slits make {cells} table cells, over {MAX_CELLS}")
@@ -124,7 +124,7 @@ class SimulationConfig:
 
         _check_positive("i0", self.i0)
         _require(self.output_format in OUTPUT_FORMATS,
-                 "output_format", f"must be one of {list(OUTPUT_FORMATS)}, got {self.output_format!r}")
+                 "output_format", f"must be one of {list(OUTPUT_FORMATS)}, got {_shown(self.output_format)}")
         _require(isinstance(self.output_path, str) and self.output_path != "",
                  "output_path", "must be a non-empty path")
         return layout, grid
@@ -175,17 +175,8 @@ def load_config(path: str | Path) -> SimulationConfig:
 def _text(value) -> str:
     """A string as given; any other value raises TypeError."""
     if not isinstance(value, str):
-        raise TypeError(f"not a string: {value!r}")
+        raise TypeError(f"not a string: {_shown(value)}")
     return value
-
-
-def _sg_stage(value) -> SternGerlachStage:
-    """A stage as given, or one from a mapping of ``factor`` and an optional ``axis_angle`` (default 0)."""
-    if isinstance(value, SternGerlachStage):
-        return value
-    if not isinstance(value, dict) or "factor" not in value or value.keys() - {"factor", "axis_angle"}:
-        raise TypeError("not an object of a factor and an optional axis_angle")
-    return SternGerlachStage(_exact_int(value["factor"]), _number(value.get("axis_angle", 0.0)))
 
 
 #: The one conversion of each field from a JSON value or a parsed flag; a list field
@@ -196,7 +187,8 @@ _CONVERTERS = {
     **dict.fromkeys(("slit_count", "samples"), _exact_int),
     "slit_positions": lambda values: tuple(map(_number, [values] if isinstance(values, str) else values)),
     "detection": lambda values: tuple(map(_exact_int, [values] if isinstance(values, str) else values)),
-    "sg_stage": _sg_stage,
+    # a stage as given, or one from a mapping of its fields, which the stage reads itself
+    "sg_stage": lambda value: value if isinstance(value, SternGerlachStage) else SternGerlachStage(**value),
 }
 
 
@@ -220,7 +212,7 @@ def merge_overrides(config: SimulationConfig, overrides: dict) -> SimulationConf
             try:
                 updates[name] = _CONVERTERS[name](value)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(name, f"cannot convert {value!r}: {exc}") from None
+                raise ConfigError(name, f"cannot convert {_shown(value)}: {exc}") from None
     if "slit_positions" in updates:
         updates = {"slit_count": None, "separation": None, **updates}
     elif updates.keys() & {"slit_count", "separation"}:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ScreenPoint, SlitGeometry, _by_slit_count, _check_positive, _checked_thetas, _exact_int,
-                       _positions_and_wavenumber, _slit_indices, pair_phase)
+                       _number, _positions_and_wavenumber, _shown, _slit_indices, pair_phase)
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import _is_single, rotation_matrix
 
@@ -57,13 +57,13 @@ class UnsupportedCollapseError(ValueError):
 
 def _rotation_scale(convention: str) -> float:
     if convention not in PHASE_CONVENTIONS:
-        raise ValueError(f"phase convention must be one of {PHASE_CONVENTIONS}, got {convention!r}")
+        raise ValueError(f"phase convention must be one of {PHASE_CONVENTIONS}, got {_shown(convention)}")
     return 1.0 if convention == "paper" else 0.5
 
 
 def _check_choice(choice: str) -> None:
     if choice not in TRANSMITTED_CHOICES:
-        raise ValueError(f"transmitted choice must be one of {TRANSMITTED_CHOICES}, got {choice!r}")
+        raise ValueError(f"transmitted choice must be one of {TRANSMITTED_CHOICES}, got {_shown(choice)}")
 
 
 def _row_blocks(count: int, width: int = 1) -> list[slice]:
@@ -206,10 +206,15 @@ class FringeProfile:
 
 @dataclass(frozen=True)
 class SternGerlachStage:
-    """Idealized spin measurement applied to one tensor factor before the screen."""
+    """Idealized spin measurement applied to one tensor factor before the screen; it reads ``factor`` by
+    ``_exact_int`` and ``axis_angle`` by ``_number``, and ``measure_factor`` checks that the factor is 1 or 2."""
 
     factor: int
     axis_angle: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "factor", _exact_int(self.factor))
+        object.__setattr__(self, "axis_angle", _number(self.axis_angle))
 
 
 @dataclass(frozen=True)
@@ -409,7 +414,7 @@ def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: fl
         normalized: zero-norm, off by more than 1e-9, or NaN.
     """
     if isinstance(factor, (bool, np.bool_)) or factor not in (1, 2):  # True == 1, so a bool passes `in`
-        raise ValueError(f"measured factor must be 1 or 2, got {factor}")
+        raise ValueError(f"measured factor must be 1 or 2, got {_shown(factor, str)}")
     single = _is_single(state, axis_angle)
     amps = state.vector() if single else np.asarray(state, dtype=complex)
     norm2 = np.sum(np.abs(amps) ** 2, axis=-1)

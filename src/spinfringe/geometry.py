@@ -51,6 +51,14 @@ def _number(value) -> float:
         raise ValueError(str(exc)) from None
 
 
+def _shown(value, form=repr) -> str:
+    """``form(value)`` for a refusal's message, or a stand-in for an int too long for Python to convert to text."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
 def _as_field(field: str, check, *args):
     """Run a check or a reader and return its result; its IndexError, TypeError or ValueError is ConfigError(field)."""
     try:
@@ -71,12 +79,15 @@ def _exact_int(value) -> int:
 def _slit_indices(index, n: int, name: str):
     """1-based slit indices into n slits, read by ``_exact_int``: an int for a number, else an int array."""
     array = isinstance(index, (np.ndarray, Sequence)) and not isinstance(index, str)
-    if not (isinstance(index, np.ndarray) and index.dtype.kind in "iu"):  # integer arrays pass unchanged
-        index = np.array(np.frompyfunc(_exact_int, 1, 1)(np.array(index, object)), int) if array else _exact_int(index)
+    read = array and not (isinstance(index, np.ndarray) and index.dtype.kind in "iu")  # integer arrays pass unchanged
+    if read:  # Python ints until the range check, so one past int64 is out of range like any other
+        index = np.asarray(np.frompyfunc(_exact_int, 1, 1)(np.array(index, object)), object)
+    elif not array:
+        index = _exact_int(index)
     bad = index[(index < 1) | (index > n)] if array else ([] if 1 <= index <= n else [index])
     if len(bad):
-        raise IndexError(f"slit index {name}={bad[0]} out of range 1..{n}")
-    return index
+        raise IndexError(f"slit index {name}={_shown(bad[0], str)} out of range 1..{n}")
+    return index.astype(int) if read else index
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,7 @@ class SlitGeometry:
         """Layout of ``count`` slits with center-to-center ``separation``, centered on 0."""
         count = _exact_int(count)
         if count < 2:
-            raise ConfigError("slit_count", f"need at least 2 slits, got {count}")
+            raise ConfigError("slit_count", f"need at least 2 slits, got {_shown(count, str)}")
         separation = _check_positive("separation", separation)
         offset = 0.5 * (count - 1)
         positions = tuple((k - offset) * separation for k in range(count))
@@ -143,6 +154,10 @@ def _checked_thetas(thetas) -> np.ndarray:
     """``thetas`` as a float array: TypeError unless int or float, ValueError unless finite with |theta| < pi/2."""
     if (grid := np.asarray(thetas)).dtype.kind not in "iuf":  # so a bool, complex, text or object array raises
         raise TypeError(f"theta must be real, got dtype {grid.dtype}")
+    # numpy reads a bool among numbers as one of them, so a grid that is not an array is read item by item
+    if not isinstance(thetas, (np.ndarray, np.generic, int, float)) and any(
+            isinstance(theta, (bool, np.bool_)) for theta in np.array(thetas, object).flat):
+        raise TypeError("theta must be real, got a bool")
     grid = np.asarray(grid, dtype=float)
     inside = np.abs(grid) < math.pi / 2  # False for nan and inf as well
     if not inside.all():

@@ -186,6 +186,9 @@ class TestMalformedInput:
             ({"output_path": True}, "output_path"),
             ({"sg_stage": 1}, "sg_stage"),
             ({"sg_stage": {"factor": 1, "axis": 0.3}}, "sg_stage"),
+            # past int64, as an index numpy would not hold
+            ({"detection": [10**20]}, "detection"),
+            ({"detection": [1e20]}, "detection"),
         ],
     )
     def test_config_file_value(self, tmp_path, capsys, fields, field):
@@ -221,6 +224,35 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "fields,field",
+        [
+            ({"wavelength": 10**5000}, "wavelength"),
+            ({"samples": 10**5000}, "samples"),
+            ({"samples": -(10**5000)}, "samples"),
+            ({"slit_count": 10**5000}, "slit_count"),
+            ({"slit_count": -(10**5000)}, "slit_count"),
+            ({"detection": [10**5000]}, "detection"),
+            ({"sg_stage": {"factor": 10**5000}}, "sg_stage"),
+            ({"output_format": 10**5000}, "output_format"),
+        ],
+        ids=["wavelength", "samples", "-samples", "slit_count", "-slit_count", "detection", "sg_stage",
+             "output_format"],
+    )
+    def test_an_int_too_long_to_print_names_its_field(self, fields, field):
+        # only the Python API reaches these, as json refuses more than 4,300 digits first; the message
+        # that refuses such an int must not itself fail to convert it to text
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(fields)
+        assert excinfo.value.field == field
+        assert "<int too long to show>" in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ["samples", "slit_count", "output_format", "phase_convention", "transmitted"])
+    def test_a_hand_built_int_too_long_to_print_names_its_field(self, field):
+        with pytest.raises(ConfigError) as excinfo:
+            SimulationConfig(**{field: 10**5000}).validate()
+        assert excinfo.value.field == field
+
     def test_config_document_that_is_not_an_object_names_config(self, tmp_path, capsys):
         path = tmp_path / "array.json"
         path.write_text("[1, 2]", encoding="utf-8")
@@ -236,6 +268,7 @@ class TestMalformedInput:
         [
             (["--detection", "1.7"], "detection"),
             (["--detection", "3"], "detection"),  # the default layout has two slits
+            (["--detection", "1e20"], "detection"),  # past int64
             (["--slit-positions", ""], "slit_positions"),
             (["--sg-axis-angle", "0.3"], "sg_stage"),
         ],
@@ -1073,6 +1106,27 @@ class TestStreamedTables:
         code = main(["simulate", "--samples", str(samples), "--output-format", output_format, "-o", str(out)])
         assert code == 3
         assert "device full" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert out.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_interrupt_mid_stream_leaves_the_old_file(self, tmp_path, monkeypatch, output_format):
+        # a KeyboardInterrupt is no Exception: it reaches _atomic_text through the generator's throw
+        out = tmp_path / f"profile.{output_format}"
+        out.write_bytes(b"old bytes\n")
+        render, calls = cli.render_profile, []
+
+        def interrupt_on_second_block(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "render_profile", interrupt_on_second_block)
+        samples = 2 * (cli._CHUNK_CELLS // 2) + 1  # three blocks of the two-column profile
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--samples", str(samples), "--output-format", output_format, "-o", str(out)])
         assert len(calls) == 2
         assert out.read_bytes() == b"old bytes\n"
         assert list(tmp_path.glob("*.tmp")) == []

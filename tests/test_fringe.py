@@ -909,6 +909,27 @@ class TestSlitIndexReaders:
         with pytest.raises(ConfigError if reader == "config detection" else IndexError, match=message):
             read(bad)
 
+    @pytest.mark.parametrize("reader", _SLIT_INDEX_READERS)
+    @pytest.mark.parametrize("bad", [10**20, -(10**20), 1e20], ids=repr)
+    def test_an_index_past_int64_is_out_of_range(self, reader, bad):
+        # read as an int, not cast to int64 first, so it is refused as any other index outside the slits
+        read, n, name = _SLIT_INDEX_READERS[reader]
+        message = f"slit index {name}={int(bad)} out of range 1..{n}"
+        if reader == "config detection":
+            message = f"^detection: {message}$"
+        with pytest.raises(ConfigError if reader == "config detection" else IndexError, match=message):
+            read(bad)
+        if reader != "detect_at_slit":  # one detector: a number, not an array
+            with pytest.raises(ConfigError if reader == "config detection" else IndexError, match=message):
+                read((1, bad))
+
+    @pytest.mark.parametrize("reader", ["pair_phase i", "detection", "config detection"])
+    def test_an_index_too_long_to_print_is_out_of_range(self, reader):
+        read, n, name = _SLIT_INDEX_READERS[reader]
+        message = re.escape(f"slit index {name}=<int too long to show> out of range 1..{n}")
+        with pytest.raises(ConfigError if reader == "config detection" else IndexError, match=message):
+            read((10**5000,))
+
 
 def _layout_and_grid(checked):
     """``validate()``'s (layout, grid) as plain values, so that a comparison sees the types too."""
@@ -1019,12 +1040,37 @@ class TestNumberReaders:
         assert excinfo.value.field == field
 
     @pytest.mark.parametrize("grid", [np.array([0.1, 0.2], dtype=complex), np.array(["0.1", "0.2"]),
-                                      np.array([False, True]), [0.1, None]], ids=repr)
+                                      np.array([False, True]), [0.1, None],
+                                      # numpy would read these bools as 1.0 and 1 among numbers
+                                      [0.0, True], (0, np.True_)], ids=repr)
     def test_a_grid_of_non_numbers_raises_type_error(self, grid):
         with pytest.raises(TypeError, match="theta must be real"):
             intensity_profile(_THREE_SLITS, grid)
         with pytest.raises(TypeError, match="theta must be real"):
             FringeProfile(grid, np.full(len(grid), 0.5))
+
+
+class TestSternGerlachStage:
+    """The stage reads its own fields by the number rules, so a bad one fails where the stage is built."""
+
+    @pytest.mark.parametrize("fields", [(1, "0.3"), (1, True), (1, np.True_), ("x", None), (True, 0.0), (1.5, 0.0)],
+                             ids=repr)
+    def test_a_bad_field_raises_type_error_at_construction(self, fields):
+        with pytest.raises(TypeError):
+            SternGerlachStage(*fields)
+
+    @pytest.mark.parametrize("fields,expected", [((1.0, np.float64(0.3)), (1, 0.3)), ((np.int64(2), 1), (2, 1.0))],
+                             ids=repr)
+    def test_fields_read_as_int_and_float(self, fields, expected):
+        stage = SternGerlachStage(*fields)
+        assert (stage.factor, stage.axis_angle) == expected
+        assert (type(stage.factor), type(stage.axis_angle)) == (int, float)
+
+    def test_the_factor_range_is_the_measurements_check(self):
+        # any whole factor constructs; measure_factor refuses one that is not 1 or 2, as for a config's probe
+        stage = SternGerlachStage(3)
+        with pytest.raises(ValueError, match="factor must be 1 or 2, got 3"):
+            intensity_profile(SlitGeometry((-1e-6, 1e-6), 5e-7, 1.0), [0.0], stage=stage)
 
 
 class TestMeasureFactor:
