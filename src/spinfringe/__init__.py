@@ -58,7 +58,6 @@ from .qstate import (
 from .rotor import (
     UV_SPAN_TOL,
     NotInUVSpanError,
-    PairRotation,
     apply_pair,
     compose_pair_state,
     pair_on_u,

@@ -276,11 +276,12 @@ def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:
 @contextlib.contextmanager
 def _atomic_text(path: Path):
     """A UTF-8 text handle on a new temp file beside ``path``, which replaces ``path`` on a clean exit; any exception,
-    ``KeyboardInterrupt`` too, removes it and leaves ``path`` as it was."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    ``KeyboardInterrupt`` too, removes it and the directories made for it and leaves ``path`` as it was."""
+    made = list(itertools.takewhile(lambda parent: not parent.exists(), path.parents))
     tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies, as in open(path, "w")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies, as in open(path, "w")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             with contextlib.suppress(FileNotFoundError):  # an overwritten file keeps its mode
                 os.chmod(tmp_name, stat.S_IMODE(os.stat(path).st_mode))
@@ -289,6 +290,9 @@ def _atomic_text(path: Path):
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
+        for made_dir in made:  # innermost first; one that another writer filled meanwhile stays
+            with contextlib.suppress(OSError):
+                made_dir.rmdir()
         raise
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ScreenPoint, SlitGeometry, _by_slit_count, _check_positive, _checked_thetas, _exact_int,
-                       _number, _positions_and_wavenumber, _shown, _slit_indices, pair_phase)
+                       _number, _positions_and_wavenumber, _real, _shown, _slit_indices, pair_phase)
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import _is_single, rotation_matrix
 
@@ -149,8 +149,8 @@ class PairState:
 
     @classmethod
     def from_rotation(cls, phi) -> "PairState":
-        """Pair state produced by rotating u through ``phi``; an angle array gives array fields."""
-        p = np.asarray(phi, dtype=float)
+        """Pair state produced by rotating u through ``phi``, read by ``_real``; an angle array gives array fields."""
+        p = _real(phi, "phi")
         fields = (p, np.cos(p), -np.sin(p))
         return cls(*(field if p.ndim else float(field) for field in fields))
 
@@ -189,11 +189,6 @@ class FringeProfile:
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "intensities", intensities)
         object.__setattr__(self, "i0", i0)
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        """The profile as (theta, intensity) pairs."""
-        return list(zip(self.thetas.tolist(), self.intensities.tolist()))
 
     def visibility(self) -> float:
         """Fringe visibility (I_max - I_min)/(I_max + I_min); 0 for a flat profile."""

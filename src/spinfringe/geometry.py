@@ -150,15 +150,20 @@ class ScreenPoint:
         object.__setattr__(self, "theta", float(_checked_thetas(self.theta)))
 
 
+def _real(values, name: str) -> np.ndarray:
+    """``values`` as a float array; TypeError naming ``name`` unless every value is an int or a float."""
+    if (array := np.asarray(values)).dtype.kind not in "iuf":  # so a bool, complex, text or object array raises
+        raise TypeError(f"{name} must be real, got dtype {array.dtype}")
+    # numpy reads a bool among numbers as one of them, so values that are not an array are read item by item
+    if not isinstance(values, (np.ndarray, np.generic, int, float)) and any(
+            isinstance(value, (bool, np.bool_)) for value in np.array(values, object).flat):
+        raise TypeError(f"{name} must be real, got a bool")
+    return np.asarray(array, dtype=float)
+
+
 def _checked_thetas(thetas) -> np.ndarray:
-    """``thetas`` as a float array: TypeError unless int or float, ValueError unless finite with |theta| < pi/2."""
-    if (grid := np.asarray(thetas)).dtype.kind not in "iuf":  # so a bool, complex, text or object array raises
-        raise TypeError(f"theta must be real, got dtype {grid.dtype}")
-    # numpy reads a bool among numbers as one of them, so a grid that is not an array is read item by item
-    if not isinstance(thetas, (np.ndarray, np.generic, int, float)) and any(
-            isinstance(theta, (bool, np.bool_)) for theta in np.array(thetas, object).flat):
-        raise TypeError("theta must be real, got a bool")
-    grid = np.asarray(grid, dtype=float)
+    """``thetas`` read by ``_real`` as a float array; ValueError unless finite with |theta| < pi/2."""
+    grid = _real(thetas, "theta")
     inside = np.abs(grid) < math.pi / 2  # False for nan and inf as well
     if not inside.all():
         raise ValueError(f"theta must be finite with |theta| < pi/2, got {grid[~inside].flat[0]}")

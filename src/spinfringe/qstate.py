@@ -42,8 +42,8 @@ class Spinor:
     def norm2(self) -> float:
         return abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm2() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm2() - 1.0) <= NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class TwoSpinState:
     def norm2(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amplitudes))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm2() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm2() - 1.0) <= NORM_TOL
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,10 @@ TwoSpinState, broadcasting against the angles and giving an array back.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import qstate
+from .geometry import _real
 
 #: Largest out-of-plane residual accepted by operations restricted to span{u, v}.
 UV_SPAN_TOL = 1e-10
@@ -36,24 +35,14 @@ class NotInUVSpanError(ValueError):
     """Raised when a state required to lie in span{u, v} does not."""
 
 
-class PairRotation(NamedTuple):
-    """Rotation angles (radians) applied to tensor factors 1 and 2.
-
-    Angles are kept as raw radians and never reduced mod 2*pi, so that
-    composition stays exact addition on reals.
-    """
-
-    alpha: float
-    beta: float
-
-
 def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
     """The 2x2 planar rotation [[cos a, sin a], [-sin a, cos a]].
 
     Orthogonal with determinant 1; array angles give shape
-    ``angle.shape + (2, 2)``.  Raises ValueError if any angle is non-finite.
+    ``angle.shape + (2, 2)``.  Angles are read by ``geometry._real``
+    (TypeError unless int or float); ValueError if any is non-finite.
     """
-    a = np.asarray(angle, dtype=float)
+    a = _real(angle, "rotation angle")
     if not np.isfinite(a).all():
         raise ValueError(f"rotation angle must be finite, got {angle!r}")
     c, s = np.cos(a), np.sin(a)
@@ -69,12 +58,13 @@ def _is_single(state, *angles) -> bool:
     return single
 
 
-def apply_pair(pair: PairRotation | tuple, state: qstate.TwoSpinState | np.ndarray):
-    """Act with R(alpha) on factor 1 and R(beta) on factor 2.
+def apply_pair(pair: tuple, state: qstate.TwoSpinState | np.ndarray):
+    """Act with R(alpha) on factor 1 and R(beta) on factor 2, for ``pair`` = (alpha, beta).
 
-    Defined on the whole 4-dimensional space as the literal tensor operator
-    R(alpha) (x) R(beta); it preserves norms everywhere, not only on
-    span{u, v}.  Reading the amplitudes as a row-major 2x2 matrix M,
+    Angles are raw radians, never reduced mod 2*pi, so composition stays
+    exact addition.  Defined on the whole 4-dimensional space as the literal
+    tensor operator R(alpha) (x) R(beta); it preserves norms everywhere, not
+    only on span{u, v}.  Reading the amplitudes as a row-major 2x2 matrix M,
     (A (x) B) vec(M) = vec(A M B^T), so no 4x4 operator is built.  A
     TwoSpinState takes scalar angles only (ValueError otherwise).  Entry
     (i, k) adds (A[i, j] * B[k, l]) * M[j, l] to 0.0 for (j, l) = 00, 01, 10,
@@ -98,7 +88,7 @@ def pair_on_u(alpha: float | np.ndarray, beta: float | np.ndarray) -> tuple:
 
     Equals (cos(beta - alpha), -sin(beta - alpha)).
     """
-    d = np.subtract(beta, alpha, dtype=float)
+    d = _real(beta, "beta") - _real(alpha, "alpha")
     return (np.cos(d), -np.sin(d))
 
 
@@ -107,7 +97,7 @@ def pair_on_v(alpha: float | np.ndarray, beta: float | np.ndarray) -> tuple:
 
     Equals (sin(beta - alpha), cos(beta - alpha)).
     """
-    d = np.subtract(beta, alpha, dtype=float)
+    d = _real(beta, "beta") - _real(alpha, "alpha")
     return (np.sin(d), np.cos(d))
 
 

@@ -1144,6 +1144,54 @@ class TestStreamedTables:
             _write_table(config, ["theta", "intensity"], [np.linspace(-0.1, 0.1, block + 500), column], i0=1.0)
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def _write_nested(tmp_path, monkeypatch, on_second_block):
+        """``_write_table`` of a three-block profile to ``mk/a/b/t.csv``, calling ``on_second_block`` in place of
+        the second block's render."""
+        render, calls = cli.render_profile, []
+
+        def render_or_call(*args, **kwargs):
+            calls.append(None)
+            return on_second_block() if len(calls) == 2 else render(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "render_profile", render_or_call)
+        config = merge_overrides(default_config(), {"output_path": str(tmp_path / "mk" / "a" / "b" / "t.csv")})
+        rows = 2 * (cli._CHUNK_CELLS // 2) + 1
+        _write_table(config, ["theta", "intensity"], [np.linspace(-0.1, 0.1, rows), np.ones(rows)], i0=1.0)
+
+    def test_a_failed_write_removes_the_directories_it_made(self, tmp_path):
+        config = merge_overrides(default_config(), {"output_path": str(tmp_path / "mk" / "a" / "b" / "t.csv")})
+        with pytest.raises(ValueError, match="finite"):
+            _write_table(config, ["theta", "intensity"], [np.linspace(-0.1, 0.1, 3), np.array([0.0, np.nan, 1.0])])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_write_keeps_a_parent_that_was_there(self, tmp_path, monkeypatch):
+        def fail():
+            raise OSError("device full")
+
+        (tmp_path / "mk").mkdir()
+        with pytest.raises(OSError, match="device full"):
+            self._write_nested(tmp_path, monkeypatch, fail)
+        assert [path.name for path in tmp_path.rglob("*")] == ["mk"]
+
+    def test_an_interrupted_write_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            self._write_nested(tmp_path, monkeypatch, interrupt)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_made_directory_another_writer_filled_stays(self, tmp_path, monkeypatch):
+        def fill_then_fail():
+            (tmp_path / "mk" / "a" / "other.txt").write_text("kept\n")
+            raise OSError("device full")
+
+        with pytest.raises(OSError, match="device full"):
+            self._write_nested(tmp_path, monkeypatch, fill_then_fail)
+        assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == [
+            "mk", "mk/a", "mk/a/other.txt"]
+
     @pytest.mark.parametrize("output_format", ["xml", "CSV", ""])
     def test_an_unknown_format_raises_and_writes_nothing(self, tmp_path, output_format):
         message = re.escape(f"must be one of ['csv', 'json'], got {output_format!r}")

@@ -205,7 +205,7 @@ class TestIntensityProfile:
 
     def test_single_point_grid(self, two_slit):
         profile = intensity_profile(two_slit, np.array([0.0]))
-        assert profile.samples == [(0.0, 1.0)]
+        assert (profile.thetas.tolist(), profile.intensities.tolist()) == ([0.0], [1.0])
 
     def test_grid_must_increase(self, two_slit):
         with pytest.raises(ValueError, match="increasing"):
@@ -303,7 +303,7 @@ class TestIntensityProfile:
         for convention in ("half", "paper"):
             for choice in ("u", "v"):
                 profile = intensity_profile(two_slit, grid, convention, choice)
-                for theta, value in profile.samples:
+                for theta, value in zip(profile.thetas.tolist(), profile.intensities.tolist()):
                     ps = two_slit_state_at(two_slit, ScreenPoint(theta), convention)
                     assert abs(value - transmission_probability(ps, choice)) <= 1e-12
 
@@ -385,7 +385,7 @@ class TestMultiSlitIntensity:
             g = SlitGeometry.evenly_spaced(n, 2e-6, 500e-9, 1.0)
             for convention in PHASE_CONVENTIONS:
                 profile = intensity_profile(g, grid, convention)
-                for theta, value in profile.samples:
+                for theta, value in zip(profile.thetas.tolist(), profile.intensities.tolist()):
                     assert multi_slit_intensity(g, ScreenPoint(theta), convention) == value
 
 

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spinfringe import (
+    Ensemble,
     NotInUVSpanError,
-    PairRotation,
+    PairState,
     TwoSpinState,
     apply_pair,
     basis_u,
     basis_v,
     compose_pair_state,
     decompose_uv,
+    measure_factor,
     pair_on_u,
     pair_on_v,
     rotation_matrix,
@@ -79,7 +81,7 @@ class TestApplyPair:
     def test_single_sided_amplitudes(self, rng):
         # amplitudes of (I, R(a)) u are (cos a, -sin a, sin a, cos a)/sqrt(2)
         for a in rng.uniform(-10, 10, size=100):
-            moved = apply_pair(PairRotation(0.0, a), basis_u()).vector()
+            moved = apply_pair((0.0, a), basis_u()).vector()
             expected = np.array([math.cos(a), -math.sin(a), math.sin(a), math.cos(a)])
             expected = expected / math.sqrt(2)
             assert np.max(np.abs(moved - expected)) <= 1e-12
@@ -225,3 +227,53 @@ class TestStackedForms:
         with pytest.raises(NotInUVSpanError):
             compose_pair_state(stack, 0.1, 0.2)
         assert compose_pair_state(stack[:2], 0.1, 0.2).shape == (2, 4)
+
+
+def _states_for(angle):
+    """basis_u for one angle, else a stack of two u rows that broadcasts against it."""
+    return basis_u() if np.ndim(angle) == 0 else np.stack([basis_u().vector()] * 2)
+
+
+#: Every reader of a state-algebra angle: the call on one angle and the name its TypeError gives.
+_ANGLE_READERS = {
+    "rotation_matrix": (rotation_matrix, "rotation angle"),
+    "apply_pair alpha": (lambda angle: apply_pair((angle, 0.0), _states_for(angle)), "rotation angle"),
+    "apply_pair beta": (lambda angle: apply_pair((0.0, angle), _states_for(angle)), "rotation angle"),
+    "measure_factor": (lambda angle: measure_factor(_states_for(angle), 1, angle), "rotation angle"),
+    "compose_pair_state": (lambda angle: compose_pair_state(_states_for(angle), 0.0, angle), "rotation angle"),
+    "PairState.from_rotation": (PairState.from_rotation, "phi"),
+    "pair_on_u alpha": (lambda angle: pair_on_u(angle, 0.0), "alpha"),
+    "pair_on_u beta": (lambda angle: pair_on_u(0.0, angle), "beta"),
+    "pair_on_v alpha": (lambda angle: pair_on_v(angle, 0.0), "alpha"),
+    "pair_on_v beta": (lambda angle: pair_on_v(0.0, angle), "beta"),
+}
+
+
+def _flat(result):
+    """A reader's result as one array: states by their amplitudes, pairs, fields and entries concatenated."""
+    if isinstance(result, PairState):
+        result = (result.phi, result.c_u, result.c_v)
+    if isinstance(result, Ensemble):
+        result = tuple(np.append(weight, state.vector()) for weight, state in result.entries)
+    if isinstance(result, tuple):
+        return np.concatenate([_flat(part) for part in result])
+    return np.ravel(result.vector() if isinstance(result, TwoSpinState) else result)
+
+
+class TestAngleReaders:
+    """Every state-algebra angle is read by the rule the screen angles follow: an int or a float, nothing else."""
+
+    @pytest.mark.parametrize("reader", _ANGLE_READERS)
+    @pytest.mark.parametrize("value", ["0.3", True, np.True_, [0.1, True], 1j, np.array([0.1, 0.2], dtype=complex)],
+                             ids=repr)
+    def test_a_non_real_angle_raises_type_error_naming_it(self, reader, value):
+        read, name = _ANGLE_READERS[reader]
+        with pytest.raises(TypeError, match=f"^{name} must be real"):
+            read(value)
+
+    @pytest.mark.parametrize("reader", _ANGLE_READERS)
+    @pytest.mark.parametrize("value,as_float", [(1, 1.0), (np.int64(-2), -2.0), ([0, 1], [0.0, 1.0]),
+                                                (np.array([3, -1]), np.array([3.0, -1.0]))], ids=repr)
+    def test_an_integer_angle_reads_as_its_float(self, reader, value, as_float):
+        read = _ANGLE_READERS[reader][0]
+        assert np.array_equal(_flat(read(value)), _flat(read(as_float)))
