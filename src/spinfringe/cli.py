@@ -154,17 +154,22 @@ def _shortest_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     gap's edge or a tie (``_TIE_MARGIN``), on a round-up to 10**17 or if missed, ``repr`` itself is read.
     """
     mantissa, exponent, missed, residual = _decimal_parts(values)
-    fraction = np.maximum(np.abs(np.frexp(values)[0]), 0.5)  # frexp is exact; 0.5 stands in for zero's 0
-    above = mantissa / (fraction * 2.0**54)
-    below = np.where(fraction == 0.5, above / 2, above)
-    shortest, near = mantissa, np.inf
-    for step in (10, 100):  # a 15-digit candidate that fits replaces a 16-digit one
+    above = np.abs(np.frexp(values)[0])  # f, exact; then the half-gap above, in the same name so f is freed
+    below = np.where(above <= 0.5, 0.5, 1.0)  # a power of two's gap below is half its gap above; zero's too
+    above = mantissa / np.maximum(above, 0.5) * 2.0**-54  # 0.5 stands in for zero's 0
+    below *= above
+    shortest, near = mantissa, np.full(values.shape, np.inf)
+    for step in (10, 100):  # a 15-digit candidate that fits replaces a 16-digit one; temporaries go as they are read
         base = mantissa // step * step
-        offset = (mantissa - base) + residual
-        down, up = below - offset, above + offset - step  # how far inside its half-gap each candidate lies
-        upward = np.where(offset > step / 2, up > _TIE_MARGIN, down <= _TIE_MARGIN)  # to the nearer that fits
-        shortest = np.where(np.maximum(down, up) > _TIE_MARGIN, base + upward * step, shortest)
-        near = np.minimum(near, np.minimum(np.minimum(np.abs(down), np.abs(up)), np.abs(offset - step / 2)))
+        offset = np.add(mantissa - base, residual)
+        down, up = below - offset, np.add(above, offset)  # how far inside its half-gap each candidate lies
+        up -= step
+        low, high, nearer = down > _TIE_MARGIN, up > _TIE_MARGIN, offset > step / 2  # base + step is the nearer
+        for part in (down, up, np.subtract(offset, step / 2, out=offset)):
+            np.minimum(near, np.abs(part, out=part), out=near)
+        del down, up, offset
+        base += (nearer & high | ~(nearer | low)) * step  # the nearer that fits
+        shortest = np.where(low | high, base, shortest)
     missed = np.union1d(missed, np.flatnonzero((near <= _TIE_MARGIN) & (values != 0) | (shortest == 10**17)))
     from decimal import Decimal  # the fallback's only user, so it stays out of start-up
     texts = ["{:.16e}".format(Decimal(repr(value))) for value in np.abs(values[missed]).tolist()]
@@ -174,62 +179,94 @@ def _shortest_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 @functools.cache
 def _json_tables() -> tuple[np.ndarray, ...]:
-    """The JSON cells' tables, built on first use: 8-byte words per sign byte (NUL or ``-``) and lead digit, per
-    quad, and ``_digit_tables``' own per E; per place j, 4j plus a nonzero quad's digits less trailing zeros; the
-    byte mask of each (count, form) key, which keeps the sign byte."""
-    digits = _digit_tables()[2].view(np.uint8).reshape(-1, 4)
-    quads = np.stack([digits, np.full_like(digits, ord("."))], axis=2).reshape(-1, 8).view(np.uint64).ravel()
-    masks = np.zeros((17, 21, 48), np.uint8)  # digit i is byte 2i + 4, the point after it byte 2i + 5
-    for n, point in itertools.product(range(1, 18), range(-4, 17)):
+    """The JSON cells' tables, built on first use, as little-endian 8-byte words: per digit piece of ``_json_cells``
+    (the sign and d1, d2-d4, d5-d6, d7-d10, d11-d14) its word, the power of ten that splits it off, its text there
+    and the index of its last nonzero digit; d15-d17's text in word 3 and that index; the exponent text per E after
+    it; 17 times each E's form; the mask per key; and per E in 4..15 the low, high and point bytes of words 1-3."""
+    text, digits = (lambda parts: np.frombuffer(b"".join(parts), "<u8")), _digit_tables()[2].view(np.uint8)
+    leads = text(b"%s0.000%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10))
+    dotted = text(b"%c.%c.%c.\0\0" % tuple(b"%03d" % n) for n in range(1000))
+    pairs = text(b"\0\0\0\0\0\0%02d" % n for n in range(100))
+    quads = digits.view("<u4").astype("<u8")
+    places = [np.zeros(20, np.uint8)] + [((np.arange(10**size) > 0) * (start + size - 1 - np.argmax(
+        digits.reshape(-1, 4)[:10**size, :-size - 1:-1] > 48, 1))).astype(np.uint8)
+        for start, size in ((1, 3), (4, 2), (6, 4), (10, 4), (14, 3))]  # d1, d2-d4, d5-d6, d7-d10, d11-d14, d15-d17
+    forms = 17 * np.array([e + 4 if -4 <= e < 16 else 20 for e in range(-324, 309)])
+    masks = np.zeros((21, 17, 32), np.uint8)  # d1-d4 are bytes 2i + 4, each with a point slot after it; d5-d17, i + 9
+    for point, n in itertools.product(range(-4, 17), range(1, 18)):
+        at = lambda i: 2 * i + 4 if i < 5 else i + 9 + (4 <= point < 16 and i > point + 1)  # past a moved point
         if point == 16:  # d[.ddd]e±dd(d)
-            keep = [*range(6, 2 * n + 5, 2), *([7] if n > 1 else []), *range(40, 48)]
-        elif point >= 0:  # ddd.ddd or ddd.0, whose 0 is the digit slot after the point
-            keep = [*range(6, 2 * max(n, point + 2) + 5, 2), 2 * point + 7]
+            keep = [*map(at, range(1, n + 1)), *([7] if n > 1 else []), *range(27, 32)]
+        elif point >= 0:  # ddd.ddd or ddd.0, whose 0 is the digit after the point
+            keep = [*map(at, range(1, max(n, point + 2) + 1)), 2 * point + 7 if point < 4 else point + 11]
         else:  # 0.000ddd
-            keep = [1, 2, *range(3, 2 - point), *range(6, 2 * n + 5, 2)]
-        masks[n - 1, point + 4, [0, *keep]] = 0xFF
-    leads = np.frombuffer(b"".join(b"%s0.000%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)), np.uint64)
-    places = (np.arange(10_000) > 0) * (4 * np.arange(4)[:, None] + 4 - np.argmax(digits[:, ::-1] > 48, axis=1))
-    return leads, quads, _digit_tables()[3], places, masks.view(np.uint64).reshape(-1, 6)
+            keep = [1, 2, *range(3, 2 - point), *map(at, range(1, n + 1))]
+        masks[point + 4, n - 1, [0, *keep]] = 0xFF
+    byte, point = np.arange(8, 32), np.arange(15, 27)[:, None]  # words 1-3; the point's byte is E + 11
+    shifts = np.stack([(byte < point) * 0xFF, (byte > point) * 0xFF, (byte == point) * ord(".")]).astype(np.uint8)
+    pieces = [*zip((0, 1, 1, 2, 2), (10**16, 10**13, 10**11, 10**7, 10**3), (leads, dotted, pairs, quads, quads << 32),
+                   places)]
+    triples = text(b"%03d\0\0\0\0\0" % n for n in range(1000))
+    return (pieces, triples, places[-1], _digit_tables()[3].view("<u8") << 24, forms,
+            masks.view("<u8").reshape(-1, 4).T.copy(), shifts.view("<u8").transpose(0, 2, 1))
 
 
 @functools.lru_cache(maxsize=4)
-def _json_template(columns: tuple, keyed: bool) -> tuple[tuple[int, ...], np.ndarray]:
-    """A table's JSON row template, built once per table: its column order and ``_json_record``'s ``heads``."""
+def _json_template(columns: tuple, keyed: bool) -> tuple[tuple[int, ...], tuple[np.ndarray, list]]:
+    """A table's JSON row template, built once per table: its column order and ``_json_record``'s ``heads``, a row of
+    words that holds each text NUL-padded on the left to whole words of its own and a zero cell after all but the
+    last, and per run of columns whose texts take equal words, its first word and column, its size and that width."""
     order = tuple(sorted(range(len(columns)), key=columns.__getitem__) if keyed else range(len(columns)))
     opening, closing = "{}" if keyed else "[]"
-    segments = [f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if keyed else ''}"
-                for k, j in enumerate(order)] + [f"\n    {closing}{_ROW_SEPARATOR['json']}"]
-    width = -(-max(map(len, segments)) // 4)
-    heads = b"".join(text.encode("ascii").rjust(4 * width, b"\0") for text in segments)
-    return order, np.frombuffer(heads, np.uint32).reshape(-1, width)
+    segments = (f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if keyed else ''}"
+                for k, j in enumerate(order))
+    pad = functools.cache(lambda text: text.encode("ascii").rjust(-(-len(text) // 8) * 8, b"\0"))  # once per text
+    texts = [*map(pad, segments), pad(f"\n    {closing}{_ROW_SEPARATOR['json']}")]
+    starts = [0, *itertools.accumulate(len(text) // 8 + 4 for text in texts)]  # each text's first word
+    firsts = [k for k in range(len(order)) if k == 0 or len(texts[k]) != len(texts[k - 1])] + [len(order)]
+    runs = [(starts[k], k, stop - k, len(texts[k]) // 8) for k, stop in zip(firsts, firsts[1:])]
+    return order, (np.frombuffer(bytes(32).join(texts), "<u8"), runs)
 
 
-def _json_record(block: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """A finite block's JSON rows as NUL-padded words, rendered whole: per row ``heads[k]`` (``_json_template``) and
-    column k's number, then the last head, but no ``_ROW_SEPARATOR`` after the last row (``json.dumps`` escapes NUL
-    in a key).  A number is a 48-byte cell, the sign byte and ``0.000``, 17 digits each followed by a point, then
-    ``e±dd(d)``, whose key's mask keeps ``repr``'s bytes; the key's form is E + 4 for -4 <= E < 16, else 20."""
-    leads, quads, exponents, places, masks = _json_tables()
-    values = block.ravel()
-    mantissa, exponent, _ = _shortest_parts(values)
-    cells = np.empty((values.size, 6), np.uint64)  # lead, 4 quads, exponent
-    lead = mantissa // 10**16
-    cells[:, 0], rest, last = leads.take(lead + 10 * np.signbit(values)), mantissa - lead * 10**16, 0
-    for column, place in enumerate((10**12, 10**8, 10**4, 1), 1):
-        quad = rest // place
-        cells[:, column] = quads.take(quad)
-        last = np.maximum(last, places[column - 1].take(quad))
-        rest -= quad * place
-    cells[:, 5] = exponents.take(exponent + 324)
-    cells &= masks.take(last * 21 + np.where((exponent >= -4) & (exponent < 16), exponent + 4, 20), axis=0)
-    width = heads.shape[1]
-    record = np.empty((len(block), block.shape[1] * (width + 12) + width), np.uint32)
-    units = record[:, :-width].reshape(*block.shape, width + 12)  # a view: it splits a contiguous axis
-    units[..., :width], record[:, -width:] = heads[:-1], heads[-1]
-    units[..., width:] = cells.view(np.uint32).reshape(*block.shape, 12)
+def _json_record(block: np.ndarray, heads: tuple[np.ndarray, list]) -> np.ndarray:
+    """A finite block's JSON rows as NUL-padded words, rendered whole: per row ``heads``' row (``_json_template``)
+    with column k's number, a 32-byte ``_json_cells`` cell, after text k, but no ``_ROW_SEPARATOR`` after the last
+    row (``json.dumps`` escapes NUL in a key).  The cells come whole, their builder's temporaries already freed."""
+    (rows, count), (row, runs) = block.shape, heads
+    cells = _json_cells(block.ravel()).reshape(4, rows, count).transpose(1, 2, 0)
+    record = np.tile(row, (rows, 1))
+    for start, column, size, width in runs:
+        units = record[:, start:start + size * (width + 4)].reshape(rows, size, width + 4)  # a view
+        units[..., width:] = cells[:, column:column + size]
     record.view(np.uint8)[-1:, -len(_ROW_SEPARATOR["json"]):] = 0
     return record
+
+
+def _json_cells(values: np.ndarray) -> np.ndarray:
+    """Finite values' ``repr`` text as 32-byte cells, built word-major in a (4, cells) array of 8-byte words: the sign
+    byte and ``0.000``, d1-d4 each with a point slot after it, d5-d17 packed, then ``e±dd(d)``.  The mask of a cell's
+    key, 17 times its form (E + 4 for -4 <= E < 16, else 20) plus its digit count less one, keeps ``repr``'s bytes;
+    where 4 <= E < 16, d(E+2) on move one byte up first, and the point takes the gap after d(E+1)."""
+    pieces, triples, triple_places, exponents, forms, masks, shifts = _json_tables()
+    rest, exponent, _ = _shortest_parts(values)
+    rest += np.signbit(values) * 10**17  # d1 and the sign are one piece
+    cells, last = np.zeros((4, values.size), "<u8"), 0
+    for word, place, table, places in pieces:  # the sign and d1, d2-d4, d5-d6, d7-d10, d11-d14; the rest is d15-d17
+        piece = rest // place
+        rest -= piece * place
+        cells[word] |= table.take(piece)
+        last = np.maximum(last, places.take(piece))
+    cells[3] = triples.take(rest) | exponents.take(exponent + 324)
+    moved = np.flatnonzero((exponent >= 4) & (exponent < 16))
+    if moved.size:  # 1e4 <= |x| < 1e16
+        low, high, point = shifts.take(exponent[moved] - 4, axis=2)
+        old = cells.take(moved, axis=1)
+        for word, new in zip(cells[1:], old[1:] & low | (old[1:] << 8 | old[:-1] >> 56) & high | point):
+            word[moved] = new
+    key = forms.take(exponent + 324) + np.maximum(last, triple_places.take(rest))
+    for word, mask in zip(cells, masks):
+        word &= mask.take(key)
+    return cells
 
 
 def render_profile(columns, column_arrays, output_format: str, **scalars) -> str:
@@ -255,8 +292,9 @@ def render_profile(columns, column_arrays, output_format: str, **scalars) -> str
         raise ValueError("output tables hold finite numbers only")
     if output_format == "json":
         order, heads = _json_template(tuple(columns), bool(scalars))
+        block = block[:, order]  # frees the unordered copy
     # no name binds the record: one would hold it through the chain, a third copy at the peak
-    return (_csv_cells(block) if output_format == "csv" else _json_record(block[:, order], heads)
+    return (_csv_cells(block) if output_format == "csv" else _json_record(block, heads)
             ).tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -336,9 +374,9 @@ def run_compare(config: SimulationConfig) -> tuple[Path, float]:
     with contextlib.suppress(ConfigError):
         layout = SlitGeometry([a - mid for a in layout.slit_positions], layout.wavelength, layout.screen_distance)
     # row blocks: no (S, N) phase table; the oracle reduces each row on its own
-    reference = config.i0 * np.concatenate([oracle(slit_phases(layout, grid[rows]))
-                                            for rows in _row_blocks(grid.size, layout.n_slits)])
-    diffs = np.abs(intensities - reference)
+    reference = np.concatenate([config.i0 * oracle(slit_phases(layout, grid[rows]))
+                                for rows in _row_blocks(grid.size, layout.n_slits)])
+    np.abs(diffs := intensities - reference, out=diffs)  # in place: at most four S-length columns are alive
     max_abs_diff = float(diffs.max())
     header = ["theta", "intensity", "oracle", "abs_diff"]
     table = [grid, intensities, reference, diffs]
