@@ -212,32 +212,34 @@ def _json_tables() -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=4)
-def _json_template(columns: tuple, keyed: bool) -> tuple[tuple[int, ...], tuple[np.ndarray, list]]:
-    """A table's JSON row template, built once per table: its column order and ``_json_record``'s ``heads``, a row of
-    words that holds each text NUL-padded on the left to whole words of its own and a zero cell after all but the
-    last, and per run of columns whose texts take equal words, its first word and column, its size and that width."""
+def _json_template(columns: tuple, keyed: bool) -> tuple[tuple[int, ...], tuple[list, np.ndarray]]:
+    """A table's JSON row template, built once per table: its column order and ``_json_record``'s ``heads``, the
+    texts before its numbers, each NUL-padded on the left to whole 8-byte words of its own, as one (columns, words)
+    array per run of columns whose texts take equal words, and the padded text after the last number."""
     order = tuple(sorted(range(len(columns)), key=columns.__getitem__) if keyed else range(len(columns)))
     opening, closing = "{}" if keyed else "[]"
     segments = (f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if keyed else ''}"
-                for k, j in enumerate(order))
-    pad = functools.cache(lambda text: text.encode("ascii").rjust(-(-len(text) // 8) * 8, b"\0"))  # once per text
-    texts = [*map(pad, segments), pad(f"\n    {closing}{_ROW_SEPARATOR['json']}")]
-    starts = [0, *itertools.accumulate(len(text) // 8 + 4 for text in texts)]  # each text's first word
-    firsts = [k for k in range(len(order)) if k == 0 or len(texts[k]) != len(texts[k - 1])] + [len(order)]
-    runs = [(starts[k], k, stop - k, len(texts[k]) // 8) for k, stop in zip(firsts, firsts[1:])]
-    return order, (np.frombuffer(bytes(32).join(texts), "<u8"), runs)
+                .encode("ascii") for k, j in enumerate(order))
+    runs = [np.frombuffer(b"".join(text.rjust(8 * width, b"\0") for text in run), "<u8").reshape(-1, width)
+            for width, run in itertools.groupby(segments, lambda text: -(-len(text) // 8))]
+    closing = f"\n    {closing}{_ROW_SEPARATOR['json']}".encode("ascii")
+    return order, (runs, np.frombuffer(closing.rjust(-(-len(closing) // 8) * 8, b"\0"), "<u8"))
 
 
-def _json_record(block: np.ndarray, heads: tuple[np.ndarray, list]) -> np.ndarray:
-    """A finite block's JSON rows as NUL-padded words, rendered whole: per row ``heads``' row (``_json_template``)
-    with column k's number, a 32-byte ``_json_cells`` cell, after text k, but no ``_ROW_SEPARATOR`` after the last
-    row (``json.dumps`` escapes NUL in a key).  The cells come whole, their builder's temporaries already freed."""
-    (rows, count), (row, runs) = block.shape, heads
+def _json_record(block: np.ndarray, heads: tuple[list, np.ndarray]) -> np.ndarray:
+    """A finite block's JSON rows as NUL-padded words (``json.dumps`` escapes NUL in a key), rendered whole: per row
+    ``heads``' texts, each but the last followed by its column's ``_json_cells`` cell; no separator after the last."""
+    (rows, count), (runs, closing) = block.shape, heads
     cells = _json_cells(block.ravel()).reshape(4, rows, count).transpose(1, 2, 0)
-    record = np.tile(row, (rows, 1))
-    for start, column, size, width in runs:
-        units = record[:, start:start + size * (width + 4)].reshape(rows, size, width + 4)  # a view
-        units[..., width:] = cells[:, column:column + size]
+    record = np.empty((rows, sum(run.size + 4 * len(run) for run in runs) + closing.size), "<u8")
+    units, end, column = [], 0, 0
+    for run in runs:  # each run's (rows, columns, words) view, its texts placed in the first row
+        units.append(record[:, end:(end := end + run.size + 4 * len(run))].reshape(rows, len(run), len(run[0]) + 4))
+        units[-1][:1, :, :-4] = run
+    record[:1, end:] = closing
+    record[1:] = record[:1]  # every row's texts in one copy
+    for view in units:
+        view[..., -4:] = cells[:, column:(column := column + view.shape[1])]
     record.view(np.uint8)[-1:, -len(_ROW_SEPARATOR["json"]):] = 0
     return record
 
@@ -376,7 +378,7 @@ def run_compare(config: SimulationConfig) -> tuple[Path, float]:
     # row blocks: no (S, N) phase table; the oracle reduces each row on its own
     reference = np.concatenate([config.i0 * oracle(slit_phases(layout, grid[rows]))
                                 for rows in _row_blocks(grid.size, layout.n_slits)])
-    np.abs(diffs := intensities - reference, out=diffs)  # in place: at most four S-length columns are alive
+    diffs = np.abs(intensities - reference)
     max_abs_diff = float(diffs.max())
     header = ["theta", "intensity", "oracle", "abs_diff"]
     table = [grid, intensities, reference, diffs]

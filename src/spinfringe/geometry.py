@@ -78,8 +78,6 @@ def _exact_int(value) -> int:
 
 def _slit_indices(index, n: int, name: str):
     """1-based slit indices into n slits, read by ``_exact_int``: an int for a number, else an int array."""
-    if type(index) in (tuple, list) and all(type(i) is int and 1 <= i <= n for i in index):  # nothing to read
-        return np.array(index, dtype=int)
     array = isinstance(index, (np.ndarray, Sequence)) and not isinstance(index, str)
     read = array and not (isinstance(index, np.ndarray) and index.dtype.kind in "iu")  # integer arrays pass unchanged
     if read:  # Python ints until the range check, so one past int64 is out of range like any other

@@ -779,7 +779,7 @@ class TestCompare:
 
         # compare writes four columns and joins the oracle's blocks as it computes them; the profile's copy of
         # the grid would be one more 8-byte value per row on top of simulate's peak.  A JSON block peaks in its
-        # text chain at about three times its text, which puts JSON compare at 6.33 bytes per row
+        # text chain at about three times its text, which puts JSON compare at 6.3 bytes per row
         per_row = (traced_peak(run_compare) - traced_peak(run_simulate)) / samples
         assert per_row < {"csv": 8, "json": 6.5}[output_format]
 

@@ -5,7 +5,6 @@ import os
 import re
 import threading
 import tracemalloc
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -930,32 +929,6 @@ class TestSlitIndexReaders:
         message = re.escape(f"slit index {name}=<int too long to show> out of range 1..{n}")
         with pytest.raises(ConfigError if reader == "config detection" else IndexError, match=message):
             read((10**5000,))
-
-    @pytest.mark.parametrize("index", [(1,), [2], (1, 3, 2), [3, 3, 1], ()], ids=repr)
-    def test_plain_ints_in_range_read_as_the_reader_reads_them(self, index):
-        # a tuple or list of plain ints in 1..n skips the entry-by-entry reader, which a tuple subclass still takes
-        fast, read = _slit_indices(index, 3, "i"), _slit_indices(_IndexTuple(index), 3, "i")
-        assert fast.dtype == read.dtype == np.dtype(int)
-        assert np.array_equal(fast, read) and np.array_equal(fast, np.array(index, dtype=int).reshape(-1))
-
-    @pytest.mark.parametrize("index, error, message", [
-        ((True,), TypeError, "not an integer: True"),
-        ([1, False], TypeError, "not an integer: False"),
-        ((Fraction(1, 2),), TypeError, "'Fraction' object cannot be interpreted as an integer"),
-        ([2, 1.5], TypeError, "'float' object cannot be interpreted as an integer"),
-        ((1, 0), IndexError, "slit index i=0 out of range 1..3"),
-        ([4], IndexError, "slit index i=4 out of range 1..3"),
-        ((1e20,), IndexError, "slit index i=100000000000000000000 out of range 1..3"),
-        ([10**20], IndexError, "slit index i=100000000000000000000 out of range 1..3"),
-    ], ids=repr)
-    def test_any_other_tuple_or_list_raises_as_the_reader_does(self, index, error, message):
-        for each in (index, _IndexTuple(index)):
-            with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                _slit_indices(each, 3, "i")
-
-
-class _IndexTuple(tuple):
-    """A tuple subclass, which ``_slit_indices`` reads entry by entry: its plain-int path takes a tuple or list only."""
 
 
 def _layout_and_grid(checked):
