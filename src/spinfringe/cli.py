@@ -12,8 +12,8 @@ distance whose offsets (x - a_k)/L overflow), 3 I/O error.  Output files are
 written atomically (temp file + rename) by ``_atomic_text``, the one owner of that
 contract, with the mode ``open(path, "w")`` gives, or the replaced file's own, and
 identical configs produce byte-identical files.
-CSV numbers (``%.16e``) and JSON numbers (``repr``) are rendered per row block by
-a numpy implementation of that format (not a new one); ``json.dumps`` writes the JSON frame.
+CSV numbers (``%.16e``) and JSON numbers (``repr``) are rendered per row block by ``render_profile(layout,
+column_arrays)``, a numpy implementation of that format (not a new one), against the table's one ``_table_layout``.
 """
 
 from __future__ import annotations
@@ -211,19 +211,30 @@ def _json_tables() -> tuple[np.ndarray, ...]:
             masks.view("<u8").reshape(-1, 4).T.copy(), shifts.view("<u8").transpose(0, 2, 1))
 
 
-@functools.lru_cache(maxsize=4)
-def _json_template(columns: tuple, keyed: bool) -> tuple[tuple[int, ...], tuple[list, np.ndarray]]:
-    """A table's JSON row template, built once per table: its column order and ``_json_record``'s ``heads``, the
-    texts before its numbers, each NUL-padded on the left to whole 8-byte words of its own, as one (columns, words)
-    array per run of columns whose texts take equal words, and the padded text after the last number."""
-    order = tuple(sorted(range(len(columns)), key=columns.__getitem__) if keyed else range(len(columns)))
-    opening, closing = "{}" if keyed else "[]"
-    segments = (f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if keyed else ''}"
-                .encode("ascii") for k, j in enumerate(order))
+def _table_layout(columns, output_format: str, scalars: dict) -> tuple[str, str, list | None, tuple | None]:
+    """A table's layout, built once per table: the text before and after its rows (the CSV header, or ``json.dumps``
+    of the JSON document, ``scalars`` or ``columns``, with ``Infinity`` for its rows), the column order of a keyed
+    row (``None`` for an array row or CSV) and ``_json_record``'s ``heads`` (``None`` for CSV): the texts before a
+    row's numbers, each NUL-padded on the left to whole 8-byte words of its own, as one (columns, words) array per
+    run of columns whose texts take equal words, and the padded text after the last number.  ValueError for a format
+    not in ``OUTPUT_FORMATS``."""
+    if output_format not in OUTPUT_FORMATS:
+        raise ValueError(f"must be one of {list(OUTPUT_FORMATS)}, got {output_format!r}")
+    if output_format == "csv":
+        return ",".join(columns) + "\n", "\n", None, None
+    order = sorted(range(len(columns)), key=columns.__getitem__) if scalars else None
+    opening, closing = "{}" if scalars else "[]"
+    segments = (f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if scalars else ''}"
+                .encode("ascii") for k, j in enumerate(order or range(len(columns))))
     runs = [np.frombuffer(b"".join(text.rjust(8 * width, b"\0") for text in run), "<u8").reshape(-1, width)
             for width, run in itertools.groupby(segments, lambda text: -(-len(text) // 8))]
     closing = f"\n    {closing}{_ROW_SEPARATOR['json']}".encode("ascii")
-    return order, (runs, np.frombuffer(closing.rjust(-(-len(closing) // 8) * 8, b"\0"), "<u8"))
+    heads = runs, np.frombuffer(closing.rjust(-(-len(closing) // 8) * 8, b"\0"), "<u8")
+    # the frame last, so its texts (one column name a line) are not alive while the row texts are built
+    key, document = ("samples", scalars) if scalars else ("rows", {"columns": columns})
+    text = json.dumps({**document, key: float("inf")}, sort_keys=True, indent=2)
+    head, _, tail = text.partition(f'"{key}": Infinity')  # no finite number or escaped string renders so
+    return f'{head}"{key}": [\n', f"\n  ]{tail}\n", order, heads
 
 
 def _json_record(block: np.ndarray, heads: tuple[list, np.ndarray]) -> np.ndarray:
@@ -271,46 +282,29 @@ def _json_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def render_profile(columns, column_arrays, output_format: str, **scalars) -> str:
+def render_profile(layout, column_arrays) -> str:
     """Render one row block of equal-length float columns, 1-D or 2-D blocks of them, as output-file text.
 
-    Rows are joined by ``_ROW_SEPARATOR[output_format]``, with none before the
-    first or after the last, so consecutive blocks join by it too.  A CSV row
-    is one line, every number in ``_FMT``.  A JSON row is indented as
-    ``json.dumps(document, sort_keys=True, indent=2)`` places it: with
-    ``scalars``, an object keyed by column name (the ``samples`` of the
-    document); without, an array (the ``rows`` of ``{"columns", "rows"}``).
-    JSON numbers are ``repr``, the ``float.__repr__`` that ``json`` writes, so
-    the text is byte-identical to ``json.dumps``.  A non-finite value, which
-    ``json`` would spell otherwise, or a format not in ``OUTPUT_FORMATS`` raises ``ValueError``.
+    ``layout`` is the table's ``_table_layout``, which holds its format and row form.  Rows are joined by
+    ``_ROW_SEPARATOR`` of the format, with none before the first or after the last, so consecutive blocks
+    join by it too.  A CSV row is one line, every number in ``_FMT``.  A JSON row is indented as
+    ``json.dumps(document, sort_keys=True, indent=2)`` places it: an object keyed by column name (the
+    ``samples`` of a document with scalars) or an array (the ``rows`` of ``{"columns", "rows"}``).
+    JSON numbers are ``repr``, the ``float.__repr__`` that ``json`` writes, so the text is byte-identical
+    to ``json.dumps``.  A non-finite value, which ``json`` would spell otherwise, raises ``ValueError``.
     Both formats end in one text chain (``tobytes``, ``translate``, ``decode``)
     started from the NUL-padded byte record as a temporary, so each step's input
     is freed once the next returns and at most two copies of it are alive.
     """
-    if output_format not in OUTPUT_FORMATS:
-        raise ValueError(f"must be one of {list(OUTPUT_FORMATS)}, got {output_format!r}")
+    _, _, order, heads = layout
     block = np.column_stack(column_arrays)
     if not np.isfinite(block).all():
         raise ValueError("output tables hold finite numbers only")
-    if output_format == "json":
-        order, heads = _json_template(tuple(columns), bool(scalars))
+    if order is not None:
         block = block[:, order]  # frees the unordered copy
     # no name binds the record: one would hold it through the chain, a third copy at the peak
-    return (_csv_cells(block) if output_format == "csv" else _json_record(block, heads)
+    return (_csv_cells(block) if heads is None else _json_record(block, heads)
             ).tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _frame(columns, output_format: str, scalars: dict) -> tuple[str, str]:
-    """The text before and after a table's rows: the CSV header, or the JSON opening and closing.
-
-    ``json.dumps`` writes the JSON document, ``scalars`` or ``columns``, with ``Infinity`` for its rows.
-    """
-    if output_format == "csv":
-        return ",".join(columns) + "\n", "\n"
-    key, document = ("samples", scalars) if scalars else ("rows", {"columns": columns})
-    text = json.dumps({**document, key: float("inf")}, sort_keys=True, indent=2)
-    head, _, tail = text.partition(f'"{key}": Infinity')  # no finite number or escaped string renders so
-    return f'{head}"{key}": [\n', f"\n  ]{tail}\n"
 
 
 @contextlib.contextmanager
@@ -338,12 +332,13 @@ def _atomic_text(path: Path):
 
 def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
     """Write a table in the config's output format through ``_atomic_text``; ``table`` is the whole columns, or a
-    function from a row slice to that block's columns (``config.samples`` rows).  The head, the ``render_profile``
-    text of each block of ``_CHUNK_CELLS`` cells or one row, however wide, and the tail go to the handle in turn,
-    so neither the text nor a function's table is ever held whole."""
+    function from a row slice to that block's columns (``config.samples`` rows).  The table's one ``_table_layout``
+    gives the head, the ``render_profile`` text of each block of ``_CHUNK_CELLS`` cells or one row, however wide,
+    and the tail, which go to the handle in turn, so neither the text nor a function's table is ever held whole."""
     count = config.samples if callable(table) else len(table[0])
     block_of = table if callable(table) else lambda rows: [column[rows] for column in table]
-    head, tail = _frame(columns, config.output_format, scalars)
+    layout = _table_layout(columns, config.output_format, scalars)
+    head, tail, *_ = layout
     with _atomic_text(path := resolve_output_path(config)) as handle:
         handle.write(head)
         step = max(1, _CHUNK_CELLS // len(columns))
@@ -351,7 +346,7 @@ def _write_table(config: SimulationConfig, columns, table, **scalars) -> Path:
             if start:
                 handle.write(_ROW_SEPARATOR[config.output_format])
             rows = slice(start, min(start + step, count))
-            handle.write(render_profile(columns, block_of(rows), config.output_format, **scalars))
+            handle.write(render_profile(layout, block_of(rows)))
         handle.write(tail)
     return path
 

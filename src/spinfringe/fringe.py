@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (ScreenPoint, SlitGeometry, _by_slit_count, _check_positive, _checked_thetas, _exact_int,
-                       _number, _positions_and_wavenumber, _real, _shown, _slit_indices, pair_phase)
+                       _number, _positions_and_wavenumber, _real, _screen_angles, _shown, _slit_indices, pair_phase)
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
 from .rotor import _is_single, rotation_matrix
 
@@ -262,13 +262,15 @@ def multi_slit_intensity(
     For N = 2 this equals cos^2(phi_12), the two-slit transmission
     probability; under the half convention the doubled angles are the raw
     optical phases, so I equals the classical grating intensity
-    |sum_k exp(i*phase_k)|^2 / N^2.  One layout and a ScreenPoint give the
-    one-point ``intensity_profile``; m layouts (any slit counts) with m
+    |sum_k exp(i*phase_k)|^2 / N^2.  One layout and a ScreenPoint or an angle
+    give the one-point ``intensity_profile``; m layouts (any slit counts) with m
     angles give an (m,) array whose rows add pairs by ascending separation
     as the profile does, equal to it bit for bit if no separation repeats.
     """
     if isinstance(geometry, SlitGeometry):
-        return float(intensity_profile(geometry, [point.theta], convention).intensities[0])
+        if np.ndim(theta := _screen_angles(point)):
+            raise ValueError(f"one layout takes one angle, got shape {np.shape(theta)}; pass one layout per angle")
+        return float(intensity_profile(geometry, [theta], convention).intensities[0])
     doubled = 2.0 * _rotation_scale(convention)
     values = np.empty(len(geometry))
     for rows, layouts, thetas in _by_slit_count(geometry, point):  # one kernel pass per slit count

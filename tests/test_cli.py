@@ -1,6 +1,7 @@
 """Config validation, file emission contracts, determinism, and exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -32,6 +33,11 @@ from spinfringe.cli import (
 )
 from spinfringe.config import _FIELD_NAMES, MAX_CELLS, MAX_PHASE_ERROR, MAX_SAMPLES, MAX_SLITS, OUTPUT_FORMATS, config_from_dict, load_config, merge_overrides, resolve_output_path
 from spinfringe.fringe import _BLOCK_CELLS, _BLOCK_ROWS, _row_blocks
+
+
+def _render_block(columns, column_arrays, output_format, **scalars):
+    """``cli.render_profile`` of one row block, against the layout ``_write_table`` builds for its table."""
+    return cli.render_profile(cli._table_layout(columns, output_format, scalars), column_arrays)
 
 
 def write_config(tmp_path, **fields):
@@ -961,6 +967,20 @@ class TestGeometryDump:
             assert text == json.dumps(document, sort_keys=True, indent=2) + "\n"
             assert len(document["columns"]) == 8516 and document["rows"] == table.tolist()
 
+    def test_nothing_outlives_a_wide_json_dump(self, tmp_path):
+        # 8,516 columns in one-row blocks: the table's layout (its names, order and padded texts, about 1 MB) is
+        # built once by _write_table and goes with it; a process-wide cache of it would keep it after main returns
+        argv = ["--separation", "2e-6", "--samples", "3", "--output-format", "json", "-o", str(tmp_path / "geo.json")]
+        assert main(["geometry", "--slit-count", "3", *argv]) == 0  # first calls allocate once-only state
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            assert main(["geometry", "--slit-count", "130", *argv]) == 0
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 100_000
+
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_peak_memory_grows_by_the_grid_not_the_pair_table(self, tmp_path, output_format):
         def config(samples):
@@ -1091,6 +1111,28 @@ class TestStreamedTables:
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_a_multi_block_table_builds_its_layout_once(self, tmp_path, monkeypatch, output_format):
+        build, render, layouts, rendered = cli._table_layout, cli.render_profile, [], []
+
+        def counting(*args):
+            layouts.append(build(*args))
+            return layouts[-1]
+
+        def recording(layout, column_arrays):
+            rendered.append(layout)
+            return render(layout, column_arrays)
+
+        monkeypatch.setattr(cli, "_table_layout", counting)
+        monkeypatch.setattr(cli, "render_profile", recording)
+        config = merge_overrides(
+            default_config(), {"output_format": output_format, "output_path": str(tmp_path / f"t.{output_format}")}
+        )
+        rows = 2 * (cli._CHUNK_CELLS // 2) + 1  # three blocks of two columns
+        _write_table(config, ["theta", "intensity"], [np.linspace(-0.1, 0.1, rows), np.ones(rows)], i0=1.0)
+        assert len(layouts) == 1 and len(rendered) == 3
+        assert all(layout is layouts[0] for layout in rendered)
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_failure_mid_stream_leaves_the_old_file(self, tmp_path, monkeypatch, capsys, output_format):
         out = tmp_path / f"profile.{output_format}"
         out.write_bytes(b"old bytes\n")
@@ -1197,7 +1239,7 @@ class TestStreamedTables:
     def test_an_unknown_format_raises_and_writes_nothing(self, tmp_path, output_format):
         message = re.escape(f"must be one of ['csv', 'json'], got {output_format!r}")
         with pytest.raises(ValueError, match=message):
-            cli.render_profile(["a"], [np.arange(3.0)], output_format)
+            _render_block(["a"], [np.arange(3.0)], output_format)
         config = merge_overrides(
             default_config(), {"output_format": output_format, "output_path": str(tmp_path / "table.out")}
         )
@@ -1230,10 +1272,10 @@ class TestStreamedTables:
         # the text and a third (the record bound to a name through the chain) about 4.6 times
         columns = [f"c{k}" for k in range(width)]
         arrays = list(np.random.default_rng(width).standard_normal((cli._CHUNK_CELLS // width, width)).T)
-        cli.render_profile(columns, arrays, "json", i0=1.0)  # the first call builds the cached tables
+        _render_block(columns, arrays, "json", i0=1.0)  # the first call builds the cached tables
         tracemalloc.start()
         try:
-            text = cli.render_profile(columns, arrays, "json", i0=1.0)
+            text = _render_block(columns, arrays, "json", i0=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1242,7 +1284,7 @@ class TestStreamedTables:
 
 def _csv_text(block):
     """A finite (rows, columns) block's CSV text, as ``render_profile`` writes it."""
-    return cli.render_profile(["x"] * block.shape[1], [block], "csv")
+    return _render_block(["x"] * block.shape[1], [block], "csv")
 
 
 def _csv_cells(values):
@@ -1266,7 +1308,7 @@ class TestColumnBlocks:
         first, middle, last = rng.standard_normal(7), rng.standard_normal((7, 3)), rng.standard_normal((7, 2))
         columns = [f"c{k}" for k in range(6)]
         split = [first, *middle.T, *last.T]
-        assert cli.render_profile(columns, [first, middle, last], output_format, **scalars) == cli.render_profile(
+        assert _render_block(columns, [first, middle, last], output_format, **scalars) == _render_block(
             columns, split, output_format, **scalars)
 
 
@@ -1311,7 +1353,7 @@ class TestCsvDigits:
         assert _csv_cells(values) == ["%.16e" % value for value in values]
 
     def test_an_empty_block_renders_as_no_text(self):
-        assert cli.render_profile(["theta", "intensity"], [np.array([]), np.array([])], "csv") == ""
+        assert _render_block(["theta", "intensity"], [np.array([]), np.array([])], "csv") == ""
 
     def test_forced_fallback_writes_the_same_bytes(self, monkeypatch):
         # a margin of one half sends every nonzero cell to the fallback
@@ -1326,7 +1368,7 @@ class TestCsvDigits:
 
 def _json_numbers(values):
     """The values rendered as one JSON column of array rows, split back into numbers."""
-    text = cli.render_profile(["x"], [np.array(values, dtype=float)], "json")
+    text = _render_block(["x"], [np.array(values, dtype=float)], "json")
     return [line.strip() for line in text.split("\n") if line.startswith("      ")]
 
 
@@ -1334,7 +1376,7 @@ def _json_rows(values):
     """A (rows, columns) table as ``render_profile``'s JSON array rows, one block per ``_row_blocks`` slice."""
     columns = [f"c{k}" for k in range(values.shape[1])]
     blocks = _row_blocks(len(values), values.shape[1])
-    return ",\n".join(cli.render_profile(columns, list(values[rows].T), "json") for rows in blocks)
+    return ",\n".join(_render_block(columns, list(values[rows].T), "json") for rows in blocks)
 
 
 def _repr_rows(values):
@@ -1446,8 +1488,8 @@ class TestJsonDigits:
         assert _json_numbers(values) == [repr(value) for value in values.tolist()]
 
     def test_an_empty_block_renders_as_no_text(self):
-        assert cli.render_profile(["theta", "intensity"], [np.array([]), np.array([])], "json", i0=1.0) == ""
-        assert cli.render_profile(["theta", "intensity"], [np.array([]), np.array([])], "json") == ""
+        assert _render_block(["theta", "intensity"], [np.array([]), np.array([])], "json", i0=1.0) == ""
+        assert _render_block(["theta", "intensity"], [np.array([]), np.array([])], "json") == ""
 
 
 class TestMainEntry:

@@ -388,6 +388,22 @@ class TestMultiSlitIntensity:
                 for theta, value in zip(profile.thetas.tolist(), profile.intensities.tolist()):
                     assert multi_slit_intensity(g, ScreenPoint(theta), convention) == value
 
+    @pytest.mark.parametrize("theta", [0.1, -0.3, 0, 1e-9, np.float64(0.7), np.float32(-0.2), np.array(1.2)])
+    def test_a_bare_angle_reads_as_its_screen_point(self, three_slit, theta):
+        for convention in PHASE_CONVENTIONS:
+            value = multi_slit_intensity(three_slit, theta, convention)
+            assert type(value) is float and value == multi_slit_intensity(three_slit, ScreenPoint(theta), convention)
+
+    @pytest.mark.parametrize("theta", [True, np.bool_(False), "0.1", None, 0.1j])
+    def test_a_bool_or_non_number_angle_raises_type_error(self, three_slit, theta):
+        with pytest.raises(TypeError, match="theta must be real"):
+            multi_slit_intensity(three_slit, theta)
+
+    @pytest.mark.parametrize("thetas", [[0.1], np.zeros(2), np.zeros((2, 2))])
+    def test_angles_with_one_layout_raise_value_error(self, three_slit, thetas):
+        with pytest.raises(ValueError, match=r"one layout takes one angle, got shape .*; pass one layout per angle"):
+            multi_slit_intensity(three_slit, thetas)
+
 
 def _lattice_layouts(max_slits=6):
     """Sorted distinct slit positions on a 2^-20 m lattice, within about 0.2 mm of 0."""
