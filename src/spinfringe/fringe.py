@@ -29,7 +29,7 @@ import numpy as np
 
 from .geometry import (ScreenPoint, SlitGeometry, _by_slit_count, _check_positive, _checked_thetas, _exact_int,
                        _number, _positions_and_wavenumber, _real, _screen_angles, _shown, _slit_indices, pair_phase)
-from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, basis_u, basis_v
+from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, _amplitudes, basis_u, basis_v
 from .rotor import _is_single, rotation_matrix
 
 PHASE_CONVENTIONS = ("paper", "half")
@@ -402,37 +402,44 @@ def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: fl
     = b b^T of a column b of R(axis_angle) gives the branch vec(P M) on
     factor 1 and vec(M P^T) on factor 2, summed from 0.0 over j = 0, 1 as
     (b[i] * b[j]) * M[j, l] or (b[l] * b[j]) * M[i, j] (see ``apply_pair``).
+    Each M[j, l] is one contiguous column over the samples; the branches fill
+    a branch-major ``(2, 4) + shape`` array, renormalized in place into the
+    states, and each |branch|^2 sum is ((s0 + s1) + s2) + s3 (``np.sum``'s
+    order over a length-4 axis).  Results are views with the branch axes last.
 
     Raises
     ------
     ValueError
         If ``factor`` is not 1 or 2, a TwoSpinState comes with a non-scalar
-        ``axis_angle``, or the input state (any row of a stack) is not
-        normalized: zero-norm, off by more than 1e-9, or NaN.
+        ``axis_angle``, a stack's last axis is not 4, or the input state (any
+        row) is not normalized: zero-norm, off by more than 1e-9, or NaN.
     """
     if isinstance(factor, (bool, np.bool_)) or factor not in (1, 2):  # True == 1, so a bool passes `in`
         raise ValueError(f"measured factor must be 1 or 2, got {_shown(factor, str)}")
     single = _is_single(state, axis_angle)
-    amps = state.vector() if single else np.asarray(state, dtype=complex)
+    amps = _amplitudes(state, complex)
     norm2 = np.sum(np.abs(amps) ** 2, axis=-1)
     if np.any(norm2 <= _WEIGHT_CUTOFF):
         raise ValueError("cannot measure a zero-norm state")
     normalized = np.abs(norm2 - 1.0) <= 1e-9  # False for NaN as well
     if not normalized.all():
         raise ValueError(f"state must be normalized before measurement, norm^2={norm2[~normalized][0]}")
-    cols, grid = np.swapaxes(rotation_matrix(axis_angle), -1, -2), amps.reshape(amps.shape[:-1] + (2, 2))
-    if factor == 1:  # cols[..., k, i] is b[i] for column k; branches[..., k, i, l] takes the terms
-        terms = ((cols[..., :, :, None] * cols[..., :, j, None, None]) * grid[..., None, None, j, :] for j in (0, 1))
-    else:
-        terms = ((cols[..., :, None, :] * cols[..., :, j, None, None]) * grid[..., None, :, j, None] for j in (0, 1))
-    branches = 0.0 + next(terms)
-    branches += next(terms)
-    branches = branches.reshape(branches.shape[:-2] + (4,))
-    raw = np.sum(np.abs(branches) ** 2, axis=-1)
-    weights = raw / norm2[..., None]  # so the weights sum to 1 for an input norm^2 off by up to 1e-9
+    basis = np.moveaxis(rotation_matrix(axis_angle), (-2, -1), (0, 1))  # basis[i, k] is b[i] of column k
+    products = basis[:, None] * basis[None, :]  # products[i, j, k] is b[i] * b[j]
+    grid = np.moveaxis(amps.reshape(amps.shape[:-1] + (2, 2)), (-2, -1), (0, 1)).copy()  # grid[j, l] is M[j, l]
+    branches = np.empty((2, 4) + np.broadcast_shapes(basis.shape[2:], grid.shape[2:]), complex)
+    for k, i, l in np.ndindex(2, 2, 2):  # `...` keeps 0-d columns arrays, so each product runs a ufunc loop
+        b, m = (products[i, :, k, ...], grid[:, l, ...]) if factor == 1 else (products[l, :, k, ...], grid[i, :, ...])
+        np.add(0.0 + b[0, ...] * m[0, ...], b[1, ...] * m[1, ...], out=branches[k, 2 * i + l, ...])
+    square = np.abs(branches) ** 2
+    raw = ((square[:, 0] + square[:, 1]) + square[:, 2]) + square[:, 3]
+    weights = raw / norm2  # so the weights sum to 1 for an input norm^2 off by up to 1e-9
     kept = weights > _WEIGHT_CUTOFF
     weights *= kept  # exact: past the norm check raw is finite, so a dropped branch weighs 0 and divides by 1
-    states = branches / np.sqrt(raw * kept + ~kept)[..., None] * kept[..., None]
+    # renormalized in place, so no second array of the branches' size is made per block
+    branches /= np.sqrt(raw * kept + ~kept)[:, None]
+    branches *= kept[:, None]
+    weights, states = np.moveaxis(weights, 0, -1), np.moveaxis(branches, (0, 1), (-2, -1))
     if not single:
         return weights, states
     entries = ((float(w), TwoSpinState.from_vector(s)) for w, s in zip(weights, states) if w > 0.0)

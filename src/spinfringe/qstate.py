@@ -107,6 +107,14 @@ class Ensemble:
         object.__setattr__(self, "entries", entries)
 
 
+def _amplitudes(state: TwoSpinState | np.ndarray, dtype=None) -> np.ndarray:
+    """A TwoSpinState's vector, or a stack read by ``np.asarray`` whose last axis must hold 4 amplitudes."""
+    amps = state.vector() if isinstance(state, TwoSpinState) else np.asarray(state, dtype)
+    if amps.shape[-1:] != (4,):
+        raise ValueError(f"expected amplitudes of shape (..., 4), got shape {amps.shape}")
+    return amps
+
+
 def tensor(a: Spinor | np.ndarray, b: Spinor | np.ndarray) -> TwoSpinState | np.ndarray:
     """Product state ``a (x) b`` in the fixed basis order.
 
@@ -148,10 +156,11 @@ def decompose_uv(s: TwoSpinState | np.ndarray) -> tuple:
 
     Returns ``(c_u, c_v, residual_norm)`` with ``c_u = <u|s>``,
     ``c_v = <v|s>`` and ``residual_norm = ||s - c_u*u - c_v*v||``; an
-    ``(..., 4)`` amplitude stack in place of ``s`` gives ``(...)`` arrays.
+    ``(..., 4)`` amplitude stack in place of ``s`` gives ``(...)`` arrays
+    (ValueError naming its shape if the last axis is not 4).
     """
     plane = np.array([basis_u().vector(), basis_v().vector()])
-    w = s.vector() if isinstance(s, TwoSpinState) else np.asarray(s)
+    w = _amplitudes(s)
     coords = w @ plane.conj().T
     c_u, c_v = np.moveaxis(coords, -1, 0)
     return c_u, c_v, np.linalg.norm(w - coords @ plane, axis=-1)

@@ -66,14 +66,14 @@ def apply_pair(pair: tuple, state: qstate.TwoSpinState | np.ndarray):
     tensor operator R(alpha) (x) R(beta); it preserves norms everywhere, not
     only on span{u, v}.  Reading the amplitudes as a row-major 2x2 matrix M,
     (A (x) B) vec(M) = vec(A M B^T), so no 4x4 operator is built.  A
-    TwoSpinState takes scalar angles only (ValueError otherwise).  Entry
-    (i, k) adds (A[i, j] * B[k, l]) * M[j, l] to 0.0 for (j, l) = 00, 01, 10,
-    11 in turn: numpy's three-operand contraction order on complex operands,
-    pinned because rounding, and so every output byte, depends on the order.
+    TwoSpinState takes scalar angles only, a stack a last axis of 4 (else
+    ValueError).  Entry (i, k) adds (A[i, j] * B[k, l]) * M[j, l] to 0.0 for
+    (j, l) = 00, 01, 10, 11 in turn: numpy's three-operand contraction order on
+    complex operands, pinned because rounding, and so every byte, depends on it.
     """
     alpha, beta = pair
     single = _is_single(state, alpha, beta)
-    amps = state.vector() if single else np.asarray(state)
+    amps = qstate._amplitudes(state)
     a, b, grid = rotation_matrix(alpha), rotation_matrix(beta), amps.reshape(amps.shape[:-1] + (2, 2))
     terms = ((a[..., :, j, None] * b[..., None, :, l]) * grid[..., j, l, None, None] for j in (0, 1) for l in (0, 1))
     moved = 0.0 + next(terms)

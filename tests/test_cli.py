@@ -981,6 +981,28 @@ class TestGeometryDump:
             tracemalloc.stop()
         assert kept < 100_000
 
+    def test_a_max_slits_layout_peaks_at_its_frame_and_row_texts(self):
+        # 500,501 array-row columns whose texts after the first are one 8-byte word: 4.0 MB of row texts, built once
+        # and repeated, beside the frame's json.dumps; one bytes object per column took 17 MB more (68.7 MB traced)
+        first, second = (index + 1 for index in np.triu_indices(MAX_SLITS, 1))
+        columns = ["theta", *(f"alpha_{i}" for i in range(1, MAX_SLITS + 1)), *map("phi_{}_{}".format, first, second)]
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                built = build()
+                return tracemalloc.get_traced_memory()[1], built
+            finally:
+                tracemalloc.stop()
+
+        frame_peak, _ = traced_peak(lambda: json.dumps({"columns": columns, "rows": math.inf}, sort_keys=True, indent=2))
+        peak, layout = traced_peak(lambda: cli._table_layout(columns, "json", {}))
+        runs, closing = layout[3]
+        assert [run.shape for run in runs] == [(1, 2), (len(columns) - 1, 1)]
+        assert np.all(runs[1] == runs[1][0])  # every text after the first is the same word
+        # 64 KiB covers the layout's own few small objects: its arrays' headers, the closing text and the frame dict
+        assert peak < frame_peak + sum(run.nbytes for run in runs) + 2**16
+
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_peak_memory_grows_by_the_grid_not_the_pair_table(self, tmp_path, output_format):
         def config(samples):

@@ -1319,6 +1319,31 @@ def _unit_rows(rng, shape, dtype=complex):
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
+def _bits(values):
+    """An array's float64 bit patterns, which tell -0.0 from 0.0 where ``array_equal`` cannot."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _broadcast_branches(amps, factor, axis):
+    """measure_factor's (..., 2, 4) branches as broadcast products of (2, 2, 1) basis terms and (..., 1, 1, 2)
+    amplitude slices form them, in the same term order: the measurement's reference form on every layout."""
+    cols, grid = np.swapaxes(rotation_matrix(axis), -1, -2), amps.reshape(amps.shape[:-1] + (2, 2))
+    if factor == 1:
+        terms = [(cols[..., :, :, None] * cols[..., :, j, None, None]) * grid[..., None, None, j, :] for j in (0, 1)]
+    else:
+        terms = [(cols[..., :, None, :] * cols[..., :, j, None, None]) * grid[..., None, :, j, None] for j in (0, 1)]
+    branches = (0.0 + terms[0]) + terms[1]
+    return branches.reshape(branches.shape[:-2] + (4,))
+
+
+def _renormalized(branches, amps):
+    """``(weights, states)`` from (..., 2, 4) branches: |branch|^2 by ``np.sum``, then the documented cut-off."""
+    raw = np.sum(np.abs(branches) ** 2, axis=-1)
+    weights = raw / np.sum(np.abs(amps) ** 2, axis=-1)[..., None]
+    kept = weights > fringe._WEIGHT_CUTOFF
+    return weights * kept, branches / np.sqrt(raw * kept + ~kept)[..., None] * kept[..., None]
+
+
 class TestEinsumTermOrder:
     """The written-out 2x2 sums add their terms in the order of the einsum forms kept here as the reference.
 
@@ -1372,14 +1397,11 @@ class TestEinsumTermOrder:
     def test_sums_start_from_zero_as_einsum_does(self):
         # einsum adds into a zeroed output, so a sum of negative zeros is +0.0; array_equal cannot tell -0.0 from 0.0
         signed = np.full((1, 4), complex(-0.5, -0.0))  # each product's imaginary part is -0.0
-        def bits(values):
-            return np.ascontiguousarray(values).view(np.uint64)
-
-        assert np.array_equal(bits(apply_pair((0.0, 0.0), signed)), bits(self._einsum_pair(0.0, 0.0, signed)))
+        assert np.array_equal(_bits(apply_pair((0.0, 0.0), signed)), _bits(self._einsum_pair(0.0, 0.0, signed)))
         for factor in (1, 2):
             branches = np.einsum(self.MEASURE_SPECS[factor], *[rotation_matrix(0.0)] * 2, signed.reshape(1, 2, 2))
             _, states = measure_factor(signed, factor, 0.0)
-            assert np.array_equal(bits(states), bits(branches.reshape(1, 2, 4) / math.sqrt(0.5)))
+            assert np.array_equal(_bits(states), _bits(branches.reshape(1, 2, 4) / math.sqrt(0.5)))
 
     @pytest.mark.parametrize("factor", (1, 2))
     @pytest.mark.parametrize("axis_shape,stack_shape", [((), ()), ((), (50,)), ((50,), (50,)), ((50,), ()),
@@ -1387,14 +1409,60 @@ class TestEinsumTermOrder:
     def test_measure_factor_equals_einsum(self, rng, factor, axis_shape, stack_shape):
         (axis,) = self._angles(rng, axis_shape)
         amps = _unit_rows(rng, stack_shape)
-        basis = rotation_matrix(axis)
-        branches = np.einsum(self.MEASURE_SPECS[factor], basis, basis, amps.reshape(amps.shape[:-1] + (2, 2)))
-        branches = branches.reshape(branches.shape[:-2] + (4,))
+        branches = self._einsum_measure(amps, factor, axis)
         raw = np.sum(np.abs(branches) ** 2, axis=-1)
         weights, states = measure_factor(amps, factor, axis)
         assert np.all(raw > 0)  # so no branch is dropped and each state is its branch over its norm
-        assert np.array_equal(weights, raw / np.sum(np.abs(amps) ** 2, axis=-1)[..., None])
-        assert np.array_equal(states, branches / np.sqrt(raw)[..., None])
+        assert np.array_equal(_bits(weights), _bits(raw / np.sum(np.abs(amps) ** 2, axis=-1)[..., None]))
+        assert np.array_equal(_bits(states), _bits(branches / np.sqrt(raw)[..., None]))
+        for got, expected in zip((weights, states), _renormalized(_broadcast_branches(amps, factor, axis), amps)):
+            assert np.array_equal(_bits(got), _bits(expected))
+
+    def _einsum_measure(self, amps, factor, axis):
+        basis = rotation_matrix(axis)
+        branches = np.einsum(self.MEASURE_SPECS[factor], basis, basis, amps.reshape(amps.shape[:-1] + (2, 2)))
+        return branches.reshape(branches.shape[:-2] + (4,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        shape=hnp.array_shapes(min_dims=0, max_dims=3, max_side=5),
+        factor=st.sampled_from([1, 2]),
+        axis_form=st.sampled_from(["scalar", "zero-d", "trailing"]),
+    )
+    def test_measure_factor_bits_on_drawn_stacks(self, data, shape, factor, axis_form):
+        angle = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+        axis = data.draw(hnp.arrays(np.float64, shape[-1:], elements=angle) if axis_form == "trailing" else angle)
+        axis = np.array(axis) if axis_form == "zero-d" else axis
+        parts = data.draw(hnp.arrays(np.float64, (2,) + shape + (4,), elements=st.floats(-1.0, 1.0)))
+        amps = parts[0] + 1j * parts[1]
+        # basis-aligned rows, spin + on the measured factor, lose the second branch wherever their axis is 0
+        aligned = data.draw(hnp.arrays(bool, shape)) | (np.linalg.norm(amps, axis=-1) < 0.1)
+        amps[aligned] = 0.0
+        amps[aligned, data.draw(st.sampled_from([0, factor]))] = data.draw(st.sampled_from([1, -1, 1j, -1j]))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+
+        weights, states = measure_factor(amps, factor, axis)
+        out = np.broadcast_shapes(shape, np.shape(axis))
+        assert weights.shape == out + (2,) and states.shape == out + (2, 4)
+        for reference in (self._einsum_measure(amps, factor, axis), _broadcast_branches(amps, factor, axis)):
+            for got, expected in zip((weights, states), _renormalized(reference, amps)):
+                assert np.array_equal(_bits(got), _bits(expected))
+        dropped = np.broadcast_to(aligned, out) & (np.broadcast_to(axis, out) == 0.0)
+        assert np.all(weights[dropped][:, 1] == 0.0) and np.all(states[dropped][:, 1] == 0.0)
+        if not out:  # the TwoSpinState form runs the same columns, 0-d, and keeps the branches that weigh
+            ensemble = measure_factor(TwoSpinState.from_vector(amps), factor, float(axis))
+            kept = weights > 0.0
+            assert [w for w, _ in ensemble.entries] == weights[kept].tolist()
+            assert np.array_equal(_bits([entry.vector() for _, entry in ensemble.entries]), _bits(states[kept]))
+
+    def test_four_term_sums_take_the_order_of_np_sum(self, rng):
+        # measure_factor writes each |branch|^2 sum out as ((s0 + s1) + s2) + s3, the order numpy 2.4.6's np.sum
+        # takes over the last, length-4 axis of a (..., 2, 4) stack; a numpy that sums otherwise fails here by name
+        squares = np.abs(_unit_rows(rng, (4000, 2)) * 10.0 ** rng.integers(-6, 7, size=(4000, 2, 4))) ** 2
+        s0, s1, s2, s3 = np.moveaxis(squares, -1, 0)
+        assert np.array_equal(_bits(((s0 + s1) + s2) + s3), _bits(np.sum(squares, axis=-1)))
+        assert not np.array_equal(_bits((s0 + s1) + (s2 + s3)), _bits(np.sum(squares, axis=-1)))  # orders differ here
 
 
 class TestFringeProfile:

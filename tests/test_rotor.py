@@ -1,6 +1,7 @@
 """Pair rotations: the transformation, reduction, and composition laws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,26 @@ class TestComposePairState:
         vec[1] += 1e-11  # inside the span tolerance
         out = compose_pair_state(TwoSpinState.from_vector(vec), 0.0, 0.0)
         assert np.max(np.abs(out.vector() - vec)) <= 1e-12
+
+
+#: Every entry point that reads an amplitude stack, called on one stack.
+_STACK_READERS = {
+    "apply_pair": lambda stack: apply_pair((0.1, 0.2), stack),
+    "decompose_uv": decompose_uv,
+    "compose_pair_state": lambda stack: compose_pair_state(stack, 0.1, 0.2),
+    "measure_factor": lambda stack: measure_factor(stack, 1),
+}
+
+
+class TestAmplitudeShape:
+    @pytest.mark.parametrize("reader", _STACK_READERS)
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (3, 8), ()])
+    def test_a_last_axis_other_than_four_raises_naming_both_shapes(self, reader, shape):
+        # unit rows, so measure_factor's norm check passes and only the shape can raise
+        stack = np.ones(shape) / math.sqrt(shape[-1] if shape else 1)
+        message = f"expected amplitudes of shape (..., 4), got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _STACK_READERS[reader](stack)
 
 
 def _bounded(shape, bound):
