@@ -223,14 +223,13 @@ def _table_layout(columns, output_format: str, scalars: dict) -> tuple[str, str,
     if output_format == "csv":
         return ",".join(columns) + "\n", "\n", None, None
     order = sorted(range(len(columns)), key=columns.__getitem__) if scalars else None
-    opening, closing = "{}" if scalars else "[]"
-    # an array row's texts after its first are one text, so it is built once and repeated
-    repeats = [1] * len(columns) if scalars else [1, len(columns) - 1][: len(columns)]
-    segments = (f"{',' if k else '    ' + opening}\n      {json.dumps(columns[j]) + ': ' if scalars else ''}"
-                .encode("ascii") for k, j in enumerate(order or range(len(repeats))))
-    runs = [np.concatenate([np.broadcast_to(np.frombuffer(text.rjust(8 * width, b"\0"), "<u8"), (count, width))
-                            for text, count in run])
-            for width, run in itertools.groupby(zip(segments, repeats), lambda item: -(-len(item[0]) // 8))]
+    closing = "}" if scalars else "]"
+    # (text, count) pairs: an array row's texts after its first are one text, so it is built once and repeated
+    segments = ([(f"{',' if k else '    {'}\n      {json.dumps(columns[j])}: ", 1) for k, j in enumerate(order)]
+                if scalars else [("    [\n      ", 1), (",\n      ", len(columns) - 1)][: len(columns)])
+    runs = [np.frombuffer(b"".join(text.encode("ascii").rjust(8 * width, b"\0") * count for text, count in run),
+                          "<u8").reshape(-1, width)
+            for width, run in itertools.groupby(segments, lambda segment: -(-len(segment[0]) // 8))]
     closing = f"\n    {closing}{_ROW_SEPARATOR['json']}".encode("ascii")
     heads = runs, np.frombuffer(closing.rjust(-(-len(closing) // 8) * 8, b"\0"), "<u8")
     # the frame last, so its texts (one column name a line) are not alive while the row texts are built
