@@ -125,8 +125,8 @@ class SimulationConfig:
         _check_positive("i0", self.i0)
         _require(self.output_format in OUTPUT_FORMATS,
                  "output_format", f"must be one of {list(OUTPUT_FORMATS)}, got {_shown(self.output_format)}")
-        _require(isinstance(self.output_path, str) and self.output_path != "",
-                 "output_path", "must be a non-empty path")
+        _require(isinstance(self.output_path, str) and "\0" not in self.output_path and Path(self.output_path).name != "",
+                 "output_path", f"must name a file and hold no NUL byte, got {_shown(self.output_path)}")
         return layout, grid
 
     def geometry(self) -> SlitGeometry:

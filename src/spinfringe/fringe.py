@@ -30,7 +30,7 @@ import numpy as np
 from .geometry import (ScreenPoint, SlitGeometry, _by_slit_count, _check_positive, _checked_thetas, _exact_int,
                        _number, _positions_and_wavenumber, _real, _screen_angles, _shown, _slit_indices, pair_phase)
 from .qstate import _SQRT_HALF, Ensemble, Spinor, TwoSpinState, _amplitudes, basis_u, basis_v
-from .rotor import _is_single, rotation_matrix
+from .rotor import rotation_matrix
 
 PHASE_CONVENTIONS = ("paper", "half")
 TRANSMITTED_CHOICES = ("u", "v")
@@ -410,14 +410,13 @@ def measure_factor(state: TwoSpinState | np.ndarray, factor: int, axis_angle: fl
     Raises
     ------
     ValueError
-        If ``factor`` is not 1 or 2, a TwoSpinState comes with a non-scalar
-        ``axis_angle``, a stack's last axis is not 4, or the input state (any
-        row) is not normalized: zero-norm, off by more than 1e-9, or NaN.
+        If ``factor`` is not 1 or 2, ``_amplitudes`` refuses the state (a
+        TwoSpinState with an array ``axis_angle``, a last axis not 4), or it
+        is not normalized in some row: zero-norm, off by more than 1e-9, or NaN.
     """
     if isinstance(factor, (bool, np.bool_)) or factor not in (1, 2):  # True == 1, so a bool passes `in`
         raise ValueError(f"measured factor must be 1 or 2, got {_shown(factor, str)}")
-    single = _is_single(state, axis_angle)
-    amps = _amplitudes(state, complex)
+    amps, single = _amplitudes(state, axis_angle, dtype=complex)
     norm2 = np.sum(np.abs(amps) ** 2, axis=-1)
     if np.any(norm2 <= _WEIGHT_CUTOFF):
         raise ValueError("cannot measure a zero-norm state")
@@ -456,7 +455,7 @@ def ensemble_transmission(ensemble: Ensemble | tuple, choice: str = "u"):
     Raises
     ------
     ValueError
-        If any ensemble entry is not a two-spin state.
+        If an ensemble entry is not a two-spin state, or a stack's last axis is not 4.
     """
     _check_choice(choice)
     target = (basis_u() if choice == "u" else basis_v()).vector()
@@ -468,7 +467,8 @@ def ensemble_transmission(ensemble: Ensemble | tuple, choice: str = "u"):
                     f"entry {k} is {type(entry).__name__}; transmission needs two-spin states only"
                 )
         ensemble = zip(*((w, entry.vector()) for w, entry in ensemble.entries))
-    weights, states = (np.asarray(part) for part in ensemble)
+    weights, states = ensemble
+    weights, (states, _) = np.asarray(weights), _amplitudes(states)
     a, b = np.flatnonzero(target)  # u = (1, 0, 0, 1)/sqrt(2) and v = (0, 1, -1, 0)/sqrt(2): a zero term adds +-0
     total = np.sum(weights * np.abs(states[..., a] * target[a].conj() + states[..., b] * target[b].conj()) ** 2, -1)
     return float(total) if single else total

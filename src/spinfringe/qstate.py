@@ -107,12 +107,18 @@ class Ensemble:
         object.__setattr__(self, "entries", entries)
 
 
-def _amplitudes(state: TwoSpinState | np.ndarray, dtype=None) -> np.ndarray:
-    """A TwoSpinState's vector, or a stack read by ``np.asarray`` whose last axis must hold 4 amplitudes."""
-    amps = state.vector() if isinstance(state, TwoSpinState) else np.asarray(state, dtype)
-    if amps.shape[-1:] != (4,):
-        raise ValueError(f"expected amplitudes of shape (..., 4), got shape {amps.shape}")
-    return amps
+def _amplitudes(state, *angles, count: int = 4, dtype=None) -> tuple[np.ndarray, bool]:
+    """``(amplitudes, single)`` of a state argument: a TwoSpinState (a Spinor if ``count`` is 2) is a single state,
+    gives its vector and takes scalar ``angles`` only; anything else is a stack read by ``np.asarray`` with ``dtype``,
+    whose last axis must hold ``count`` amplitudes.  Either rule broken raises ValueError."""
+    single = isinstance(state, TwoSpinState if count == 4 else Spinor)
+    if single and any(map(np.ndim, angles)):
+        raise ValueError(f"a {type(state).__name__} takes scalar angles, got angles of shape"
+                         f" {np.broadcast(*angles).shape}; pass state.vector() to act on a stack")
+    amps = state.vector() if single else np.asarray(state, dtype)
+    if amps.shape[-1:] != (count,):
+        raise ValueError(f"expected amplitudes of shape (..., {count}), got shape {amps.shape}")
+    return amps, single
 
 
 def tensor(a: Spinor | np.ndarray, b: Spinor | np.ndarray) -> TwoSpinState | np.ndarray:
@@ -125,15 +131,15 @@ def tensor(a: Spinor | np.ndarray, b: Spinor | np.ndarray) -> TwoSpinState | np.
     Raises
     ------
     ValueError
-        If any input amplitude is non-finite.
+        If any input amplitude is non-finite, or a stack's last axis is not 2.
     """
-    amps = [s.vector() if isinstance(s, Spinor) else np.asarray(s, dtype=complex) for s in (a, b)]
-    for name, s in zip("ab", amps):
+    (x, single_a), (y, single_b) = (_amplitudes(s, count=2, dtype=complex) for s in (a, b))
+    for name, s in zip("ab", (x, y)):
         if not np.isfinite(s).all():
             raise ValueError(f"spinor {name} has a non-finite amplitude")
-    product = amps[0][..., :, None] * amps[1][..., None, :]
+    product = x[..., :, None] * y[..., None, :]
     product = product.reshape(product.shape[:-2] + (4,))
-    return TwoSpinState(tuple(product)) if isinstance(a, Spinor) and isinstance(b, Spinor) else product
+    return TwoSpinState(tuple(product)) if single_a and single_b else product
 
 
 def inner(s: TwoSpinState, t: TwoSpinState) -> complex:
@@ -160,7 +166,7 @@ def decompose_uv(s: TwoSpinState | np.ndarray) -> tuple:
     (ValueError naming its shape if the last axis is not 4).
     """
     plane = np.array([basis_u().vector(), basis_v().vector()])
-    w = _amplitudes(s)
+    w, _ = _amplitudes(s)
     coords = w @ plane.conj().T
     c_u, c_v = np.moveaxis(coords, -1, 0)
     return c_u, c_v, np.linalg.norm(w - coords @ plane, axis=-1)

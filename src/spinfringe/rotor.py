@@ -49,15 +49,6 @@ def rotation_matrix(angle: float | np.ndarray) -> np.ndarray:
     return np.array([[c, s], [-s, c]]).transpose(*range(2, a.ndim + 2), 0, 1)
 
 
-def _is_single(state, *angles) -> bool:
-    """Whether ``state`` is a TwoSpinState, which takes scalar angles only (ValueError otherwise)."""
-    single = isinstance(state, qstate.TwoSpinState)
-    if single and any(map(np.ndim, angles)):
-        raise ValueError(f"a TwoSpinState takes scalar angles, got angles of shape {np.broadcast(*angles).shape};"
-                         " pass state.vector() to act on a stack")
-    return single
-
-
 def apply_pair(pair: tuple, state: qstate.TwoSpinState | np.ndarray):
     """Act with R(alpha) on factor 1 and R(beta) on factor 2, for ``pair`` = (alpha, beta).
 
@@ -65,15 +56,14 @@ def apply_pair(pair: tuple, state: qstate.TwoSpinState | np.ndarray):
     exact addition.  Defined on the whole 4-dimensional space as the literal
     tensor operator R(alpha) (x) R(beta); it preserves norms everywhere, not
     only on span{u, v}.  Reading the amplitudes as a row-major 2x2 matrix M,
-    (A (x) B) vec(M) = vec(A M B^T), so no 4x4 operator is built.  A
-    TwoSpinState takes scalar angles only, a stack a last axis of 4 (else
-    ValueError).  Entry (i, k) adds (A[i, j] * B[k, l]) * M[j, l] to 0.0 for
-    (j, l) = 00, 01, 10, 11 in turn: numpy's three-operand contraction order on
-    complex operands, pinned because rounding, and so every byte, depends on it.
+    (A (x) B) vec(M) = vec(A M B^T), so no 4x4 operator is built.  The state
+    is read by ``qstate._amplitudes`` (a TwoSpinState takes scalar angles).
+    Entry (i, k) adds (A[i, j] * B[k, l]) * M[j, l] to 0.0 for (j, l) = 00,
+    01, 10, 11 in turn: numpy's three-operand contraction order on complex
+    operands, pinned because rounding, and so every byte, depends on it.
     """
     alpha, beta = pair
-    single = _is_single(state, alpha, beta)
-    amps = qstate._amplitudes(state)
+    amps, single = qstate._amplitudes(state, alpha, beta)
     a, b, grid = rotation_matrix(alpha), rotation_matrix(beta), amps.reshape(amps.shape[:-1] + (2, 2))
     terms = ((a[..., :, j, None] * b[..., None, :, l]) * grid[..., j, l, None, None] for j in (0, 1) for l in (0, 1))
     moved = 0.0 + next(terms)

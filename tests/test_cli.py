@@ -68,6 +68,10 @@ class TestConfigValidation:
             ({"i0": 0.0}, "i0"),
             ({"output_format": "xml"}, "output_format"),
             ({"output_path": ""}, "output_path"),
+            # a NUL byte no file name can hold, and paths that name no file
+            ({"output_path": "a\0b.csv"}, "output_path"),
+            ({"output_path": "."}, "output_path"),
+            ({"output_path": "/"}, "output_path"),
             ({"samples": MAX_SAMPLES + 1}, "samples"),
             ({"slit_count": MAX_SLITS + 1}, "slit_count"),
             ({"slit_positions": [k * 1e-6 for k in range(MAX_SLITS + 1)]}, "slit_positions"),
@@ -1533,6 +1537,14 @@ class TestMainEntry:
         code = main(["simulate", "--wavelength", "-1", "-o", str(tmp_path / "x.csv")])
         assert code == 2
         assert "wavelength" in capsys.readouterr().err
+
+    def test_a_nul_output_path_is_a_config_error_that_makes_no_directory(self, tmp_path, capsys):
+        # a flag cannot carry a NUL byte but a config file can; the writer would make made/sub before failing
+        cfg = write_config(tmp_path, samples=3, output_path=str(tmp_path / "made" / "sub" / "\0.csv"))
+        code = main(["simulate", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: output_path:")
+        assert not (tmp_path / "made").exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         target = tmp_path / "blocked"

@@ -1,12 +1,15 @@
 """Classical-wave reference: coherent/incoherent intensities and the pairwise identity."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinfringe
 from spinfringe import classical_intensity, independent_intensity, pairwise_identity_check
 
 phase_lists = st.lists(
@@ -108,3 +111,14 @@ class TestPairwiseIdentity:
                 _, _, diff = pairwise_identity_check(rng.uniform(-20, 20, size=n))
                 worst = max(worst, diff)
         assert worst <= 1e-9
+
+
+def test_oracle_imports_nothing_from_the_model():
+    # the oracle checks the model, so a shared import would let one fault pass both sides unseen
+    tree = ast.parse((Path(spinfringe.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    shared = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "spinfringe"))
+        or (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "spinfringe" for alias in node.names))
+    ]
+    assert shared == []

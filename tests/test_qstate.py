@@ -1,6 +1,7 @@
 """State algebra: tensor products, inner products, the u/v basis, decomposition."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ class TestTensor:
         a[1, 0] = np.nan
         with pytest.raises(ValueError, match="spinor a has a non-finite amplitude"):
             tensor(a, Spinor(1, 0))
+
+    @pytest.mark.parametrize("a,b,shape", [
+        (np.ones(4), np.ones(1), (4,)),
+        (np.ones(1), np.ones(4), (1,)),
+        (np.ones(3), np.ones(2), (3,)),
+        (np.ones((3, 1)), np.ones((3, 4)), (3, 1)),
+        (Spinor(1, 0), np.ones(3), (3,)),
+    ])
+    def test_a_last_axis_other_than_two_raises(self, a, b, shape):
+        # without the check an outer product of 4 and 1 amplitudes would pass for a 4-amplitude pair state
+        with pytest.raises(ValueError, match=re.escape(f"expected amplitudes of shape (..., 2), got shape {shape}")):
+            tensor(a, b)
 
 
 class TestInner:

@@ -19,6 +19,7 @@ from spinfringe import (
     basis_v,
     compose_pair_state,
     decompose_uv,
+    ensemble_transmission,
     measure_factor,
     pair_on_u,
     pair_on_v,
@@ -173,6 +174,7 @@ _STACK_READERS = {
     "decompose_uv": decompose_uv,
     "compose_pair_state": lambda stack: compose_pair_state(stack, 0.1, 0.2),
     "measure_factor": lambda stack: measure_factor(stack, 1),
+    "ensemble_transmission": lambda stack: ensemble_transmission((np.ones(np.shape(stack)[:-1]), stack)),
 }
 
 
